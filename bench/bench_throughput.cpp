@@ -79,17 +79,10 @@ struct Row {
 int run_single_image(const util::Cli& cli, core::SegHdcConfig config,
                      const std::vector<std::size_t>& thread_list,
                      std::size_t repeats, bool csv) {
-  const std::string spec = cli.get("single-image", "1024x768");
-  const auto dims =
-      util::Cli::parse_size_list(spec, /*allow_zero=*/false);
-  if (dims.size() != 2) {
-    std::fprintf(stderr, "--single-image expects WxH, got '%s'\n",
-                 spec.c_str());
-    return 1;
-  }
+  const auto size = util::Cli::parse_wxh(cli.get("single-image", "1024x768"));
   data::Dsb2018Config dataset_config;
-  dataset_config.width = dims[0];
-  dataset_config.height = dims[1];
+  dataset_config.width = size.width;
+  dataset_config.height = size.height;
   const img::ImageU8 image =
       data::Dsb2018Generator(dataset_config).generate(0).image;
 
@@ -108,7 +101,7 @@ int run_single_image(const util::Cli& cli, core::SegHdcConfig config,
 
   std::printf("bench_throughput --single-image: one %zux%zux3 image, "
               "dim=%zu, iterations=%zu, best of %zu repeats\n",
-              dims[0], dims[1], config.dim, config.iterations, repeats);
+              size.width, size.height, config.dim, config.iterations, repeats);
   std::printf("kernel backend: %s | cpu: %s\n",
               hdc::simd::active_backend().name,
               hdc::simd::cpu_feature_string().c_str());
@@ -131,7 +124,7 @@ int run_single_image(const util::Cli& cli, core::SegHdcConfig config,
     // Baseline: one thread, one band — the untiled serial encode.
     util::ThreadPool one(1);
     auto baseline_config = config;
-    baseline_config.tile_rows = dims[1];
+    baseline_config.tile_rows = size.height;
     const core::SegHdcSession session(
         baseline_config, core::SegHdcSession::Options{&one});
     auto row = time_single(session);

@@ -167,25 +167,20 @@ HvKMeansResult HvKMeans::run_impl(
     }
   }
 
-  // Update-step partials: one bank of k accumulators per chunk, so the
-  // per-cluster accumulation runs without any shared mutable state and
-  // the reduction walks the chunks in fixed order. Allocated once here
-  // and cleared per iteration. Chunk count depends only on the pool, not
-  // on the data; one chunk degrades to the plain sequential loop.
+  // Update-step state: one bank of k accumulators per chunk of points.
+  // Banks persist across iterations, each the exact integer sum of its
+  // contiguous slice of points under `bank_assignment` (kNotAdded before
+  // iteration 0), so chunks update without any shared mutable state and
+  // the merge walks them in fixed order. Chunk count depends only on the
+  // pool, not on the data.
+  constexpr auto kNotAdded = std::numeric_limits<std::uint32_t>::max();
   const std::size_t update_chunks =
       util::SerialScope::active()
           ? 1
           : std::min<std::size_t>({n, pool.thread_count(), 16});
-  std::vector<std::vector<hdc::Accumulator>> partial_centroids;
-  std::vector<std::vector<std::uint64_t>> partial_weights;
-  if (update_chunks > 1) {
-    partial_centroids.resize(update_chunks);
-    partial_weights.resize(update_chunks);
-    for (std::size_t chunk = 0; chunk < update_chunks; ++chunk) {
-      partial_centroids[chunk].assign(k, hdc::Accumulator(dim));
-      partial_weights[chunk].assign(k, 0);
-    }
-  }
+  std::vector<std::vector<hdc::Accumulator>> banks(
+      update_chunks, std::vector<hdc::Accumulator>(k, hdc::Accumulator(dim)));
+  std::vector<std::uint32_t> bank_assignment(n, kNotAdded);
 
   std::vector<double> distance_to_own(n, 0.0);
   // Majority-binarized centroids for the Hamming variant; every row is
@@ -209,22 +204,25 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<std::span<const std::uint64_t>> binary_centroid_rows(k);
 
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
-    const obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
-    if (config_.distance == ClusterDistance::kHamming) {
-      for (std::size_t c = 0; c < k; ++c) {
-        const auto majority = result.centroids[c].to_majority();
-        const auto src = majority.words();
-        const auto dst = binary_centroids.row(c);
-        std::copy(src.begin(), src.end(), dst.begin());
-        binary_centroid_rows[c] = dst;
+    obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
+    {
+      const obs::SpanScope snapshot_span("centroid_snapshot", "core");
+      if (config_.distance == ClusterDistance::kHamming) {
+        for (std::size_t c = 0; c < k; ++c) {
+          const auto majority = result.centroids[c].to_majority();
+          const auto src = majority.words();
+          const auto dst = binary_centroids.row(c);
+          std::copy(src.begin(), src.end(), dst.begin());
+          binary_centroid_rows[c] = dst;
+        }
+      } else {
+        for (std::size_t c = 0; c < k; ++c) {
+          result.centroids[c].snapshot_planes(centroid_planes[c]);
+        }
       }
-    } else {
       for (std::size_t c = 0; c < k; ++c) {
-        result.centroids[c].snapshot_planes(centroid_planes[c]);
+        centroid_norm[c] = result.centroids[c].norm();
       }
-    }
-    for (std::size_t c = 0; c < k; ++c) {
-      centroid_norm[c] = result.centroids[c].norm();
     }
     // --- Assignment step (data parallel over block rows; fused
     // word-span kernels, no per-point HyperVector temporaries). The
@@ -548,51 +546,54 @@ HvKMeansResult HvKMeans::run_impl(
       }
     }
 
-    // --- Update step: rebuild weighted centroid sums. Each chunk
-    // accumulates its contiguous slice of points into its own bank of
-    // partial centroids; the banks are then merged in chunk order.
-    // Integer adds commute exactly, so the reduced centroids (and every
-    // label derived from them) match the sequential loop bit for bit at
-    // any thread count. ---
-    for (auto& centroid : result.centroids) {
-      centroid.clear();
-    }
-    std::fill(result.cluster_weights.begin(), result.cluster_weights.end(),
-              std::uint64_t{0});
-    if (update_chunks <= 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t c = result.assignment[i];
-        result.centroids[c].add(points.row(i), weight_of(i));
-        result.cluster_weights[c] += weight_of(i);
-      }
-    } else {
+    // --- Update step: move only the points whose assignment differs
+    // from the one their chunk's bank holds them under — subtract from
+    // the old cluster, add to the new one (iteration 0 moves every point
+    // in) — then merge the banks into the centroids in chunk order.
+    // Integer adds and subtracts commute exactly, so the centroids (and
+    // every label derived from them) equal a from-scratch re-sum of the
+    // assignment, bit for bit, at any thread count. ---
+    std::atomic<std::uint64_t> moved{0};
+    {
+      obs::SpanScope update_span("kmeans_update", "core");
       pool.parallel_for(
           0, update_chunks,
           [&](std::size_t chunk) {
-            auto& centroids = partial_centroids[chunk];
-            auto& chunk_weights = partial_weights[chunk];
-            for (auto& centroid : centroids) {
-              centroid.clear();
-            }
-            std::fill(chunk_weights.begin(), chunk_weights.end(),
-                      std::uint64_t{0});
+            auto& bank = banks[chunk];
+            std::uint64_t chunk_moved = 0;
             const std::size_t lo = chunk * n / update_chunks;
             const std::size_t hi = (chunk + 1) * n / update_chunks;
             for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint32_t c = result.assignment[i];
-              centroids[c].add(points.row(i), weight_of(i));
-              chunk_weights[c] += weight_of(i);
+              const std::uint32_t from = bank_assignment[i];
+              const std::uint32_t to = result.assignment[i];
+              if (from == to) {
+                continue;
+              }
+              if (from != kNotAdded) {
+                bank[from].sub(points.row(i), weight_of(i));
+              }
+              bank[to].add(points.row(i), weight_of(i));
+              bank_assignment[i] = to;
+              ++chunk_moved;
             }
+            moved.fetch_add(chunk_moved, std::memory_order_relaxed);
           },
           /*grain=*/1);
-      for (std::size_t chunk = 0; chunk < update_chunks; ++chunk) {
-        for (std::size_t c = 0; c < k; ++c) {
-          result.centroids[c].merge(partial_centroids[chunk][c]);
-          result.cluster_weights[c] += partial_weights[chunk][c];
+      for (std::size_t c = 0; c < k; ++c) {
+        result.centroids[c] = banks[0][c];
+        for (std::size_t chunk = 1; chunk < update_chunks; ++chunk) {
+          result.centroids[c].merge(banks[chunk][c]);
         }
+        result.cluster_weights[c] = result.centroids[c].total_weight();
       }
+      // Iteration 0 adds every point; each later move is a sub and an
+      // add, dim elements apiece.
+      const std::uint64_t adds = moved.load() * dim * (iter == 0 ? 1 : 2);
+      result.ops.centroid_update_adds += adds;
+      update_span.arg("moved", moved.load());
+      update_span.arg("adds", adds);
     }
-    result.ops.centroid_update_adds += static_cast<std::uint64_t>(n) * dim;
+    iter_span.arg("moved", moved.load());
 
     // --- Empty-cluster repair: reseed with the point farthest from its
     // own centroid (deterministic: highest distance, lowest index). ---
@@ -612,10 +613,11 @@ HvKMeansResult HvKMeans::run_impl(
       }
       const std::uint32_t old_cluster = result.assignment[farthest];
       result.assignment[farthest] = static_cast<std::uint32_t>(c);
-      // Move the point's mass between clusters. Rebuilding the source
-      // centroid exactly would need a subtract; reseeding is rare and
-      // the next iteration rebuilds all centroids anyway, so only the
-      // destination is patched here.
+      // Move the point's mass between clusters. Only the destination
+      // centroid is patched, because the next assignment reads it. The
+      // banks still hold the point under its old cluster, so the next
+      // update moves it like any other point and its merge overwrites
+      // the patch with the exact sums.
       result.centroids[c].add(points.row(farthest), weight_of(farthest));
       result.cluster_weights[c] += weight_of(farthest);
       result.cluster_weights[old_cluster] -= weight_of(farthest);

@@ -15,9 +15,12 @@
 // fused AND+popcount passes through the dispatched SIMD backend instead
 // of walking set bits serially — the integer dot, and therefore every
 // label, is bit-identical to the serial formulation; (3) the update step
-// accumulates per-chunk partial centroids in parallel and reduces them
-// in fixed order — integer sums are order-independent, so assignments
-// and centroids are bit-identical for every thread count; (4) at large
+// keeps one persistent bank of partial centroids per chunk of points and
+// each iteration subtracts and re-adds only the points whose assignment
+// changed (Accumulator::sub, exact integer arithmetic), in parallel per
+// chunk, then merges the banks in fixed order — integer sums are
+// order-independent, so the centroids equal a from-scratch re-sum and
+// are bit-identical for every thread count; (4) at large
 // cluster counts the assignment prunes candidates it can prove are not
 // the nearest (per-centroid norm bounds, plus early-exit bounded
 // kernels that abort a scan once the running distance loses to the
@@ -66,7 +69,7 @@ struct HvKMeansConfig {
   bool stop_on_convergence = false;
   /// Thread pool for the assignment and update steps (nullptr = the
   /// process-wide shared pool). Results are bit-identical for every pool
-  /// size: the assignment writes per-point slots and the update reduces
+  /// size: the assignment writes per-point slots and the update keeps
   /// integer partial sums, which are order-independent.
   util::ThreadPool* pool = nullptr;
 };
@@ -96,6 +99,9 @@ struct HvKMeansResult {
   /// distance whose dot/scan actually ran (so the exhaustive total is
   /// the classic n*k*dim), and `words_scanned` counts the words the
   /// assignment kernels actually streamed, partial scans included.
+  /// `centroid_update_adds` is measured too: `dim` per point added or
+  /// subtracted by the update step, so n*dim at iteration 0 plus
+  /// 2*dim per point that moved cluster afterwards.
   OpCounts ops;
 };
 

@@ -23,24 +23,36 @@ void Accumulator::add(const HyperVector& hv, std::uint32_t weight) {
 
 void Accumulator::add(std::span<const std::uint64_t> packed_bits,
                       std::uint32_t weight) {
+  accumulate(packed_bits, static_cast<std::int64_t>(weight));
+  total_weight_ += weight;
+}
+
+void Accumulator::sub(std::span<const std::uint64_t> packed_bits,
+                      std::uint32_t weight) {
+  util::expects(weight <= total_weight_,
+                "Accumulator::sub weight exceeds the total weight held");
+  accumulate(packed_bits, -static_cast<std::int64_t>(weight));
+  total_weight_ -= weight;
+}
+
+void Accumulator::accumulate(std::span<const std::uint64_t> packed_bits,
+                             std::int64_t weight) {
   util::expects(packed_bits.size() == kernels::words_for_dim(counts_.size()),
-                "Accumulator::add packed word count mismatch");
+                "Accumulator packed word count mismatch");
   util::expects(kernels::padding_is_zero(packed_bits, counts_.size()),
-                "Accumulator::add padding bits must be zero");
-  const auto w = static_cast<std::int64_t>(weight);
-  // The fused kernel returns the pre-add dot, so the incremental norm
+                "Accumulator padding bits must be zero");
+  // The fused kernel returns the pre-update dot, so the incremental norm
   // stays a single pass over the counts: summing (x+w)^2 - x^2 =
-  // 2xw + w^2 over the set bits is 2w * dot_old + w^2 * popcount — the
-  // same integers the old per-bit walk produced. The popcount is a
-  // second read of the packed words, but those are 1/8 the bytes of the
-  // counts pass and cache-hot, so folding it into the kernel's return
-  // isn't worth widening the vtable signature.
+  // 2xw + w^2 over the set bits is 2w * dot_old + w^2 * popcount, for a
+  // negative w (sub) as for a positive one. The popcount is a second
+  // read of the packed words, but those are 1/8 the bytes of the counts
+  // pass and cache-hot, so folding it into the kernel's return isn't
+  // worth widening the vtable signature.
   const std::int64_t old_dot =
-      kernels::accumulate_counts_words(counts_, packed_bits, w);
+      kernels::accumulate_counts_words(counts_, packed_bits, weight);
   const auto set_bits =
       static_cast<std::int64_t>(kernels::popcount_words(packed_bits));
-  sum_squares_ += 2 * w * old_dot + w * w * set_bits;
-  total_weight_ += weight;
+  sum_squares_ += 2 * weight * old_dot + weight * weight * set_bits;
 }
 
 void Accumulator::merge(const Accumulator& other) {

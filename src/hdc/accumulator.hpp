@@ -42,14 +42,26 @@ class Accumulator {
   void add(std::span<const std::uint64_t> packed_bits,
            std::uint32_t weight = 1);
 
+  /// Exact inverse of add: counts[i] -= weight for every set bit i, on
+  /// the same signed accumulate kernel, with the incremental norm kept
+  /// exact (the sum of squares changes by -2w * dot_before + w^2 *
+  /// popcount). Removing a point this accumulator holds restores the
+  /// counts, total weight, and norm it had before that point's add —
+  /// what lets the K-Means update move only the points that changed
+  /// cluster. Throws std::invalid_argument when `weight` exceeds
+  /// total_weight().
+  void sub(std::span<const std::uint64_t> packed_bits,
+           std::uint32_t weight = 1);
+
   /// Component-wise sum with another accumulator of the same dimension:
   /// counts, total weight, and the incremental norm all merge exactly.
   /// Integer sums are order-independent, which is what lets the K-Means
-  /// update step accumulate into per-thread partials and reduce them in
-  /// any grouping with bit-identical results.
+  /// update step keep per-chunk partial banks and merge them in any
+  /// grouping with bit-identical results.
   void merge(const Accumulator& other);
 
-  /// Sum of the weights added since the last clear().
+  /// Sum of the weights added, less those subtracted, since the last
+  /// clear().
   std::uint64_t total_weight() const { return total_weight_; }
 
   /// Component value at `index`.
@@ -59,8 +71,8 @@ class Accumulator {
 
   /// Rebuilds `out` as the bit-plane snapshot of the current counts
   /// (kernels::CountPlanes), the layout the clusterer's word-blocked
-  /// cosine assignment streams over. Counts are non-negative by
-  /// construction, so the build never throws.
+  /// cosine assignment streams over. Counts stay non-negative while sub
+  /// only removes points that were added, so the build never throws.
   void snapshot_planes(kernels::CountPlanes& out) const;
 
   /// Dot product with a binary HV: sum of counts at the HV's set bits.
@@ -84,6 +96,11 @@ class Accumulator {
   HyperVector to_majority() const;
 
  private:
+  /// Shared body of add/sub: validates the packed span, then adds the
+  /// signed `weight` at every set bit and updates the sum of squares.
+  void accumulate(std::span<const std::uint64_t> packed_bits,
+                  std::int64_t weight);
+
   std::vector<std::int64_t> counts_;
   std::uint64_t total_weight_ = 0;
   // Norm bookkeeping: kept incrementally so the clusterer's per-point

@@ -84,10 +84,11 @@ std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
 
 /// Weighted accumulate into an integer centroid — the K-Means update
 /// primitive: counts[i] += weight for every set bit i of `words`,
-/// word-blocked on the dispatched backend. Returns the sum of the
-/// pre-add counts over those bits (the old-counts dot), which is what
-/// Accumulator::add needs to keep its incremental norm exact in the
-/// same pass. Same span contract as dot_counts_words.
+/// word-blocked on the dispatched backend. `weight` is signed: a
+/// negative weight is Accumulator::sub. Returns the sum of the
+/// pre-update counts over those bits (the old-counts dot), which is what
+/// Accumulator::add and ::sub need to keep the incremental norm exact in
+/// the same pass. Same span contract as dot_counts_words.
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,
                                      std::span<const std::uint64_t> words,
                                      std::int64_t weight);

@@ -125,9 +125,10 @@ struct KernelBackend {
                              std::span<const std::uint64_t> words);
   /// Fused weighted accumulate — the K-Means centroid-update primitive:
   /// counts[i] += weight for every set bit i of `words`, word-blocked
-  /// (masked lane adds instead of a bit-serial set-bit walk). Returns
-  /// the sum of the PRE-add counts over those same bits (the dot of the
-  /// old counts with `words`), so Accumulator::add maintains its
+  /// (masked lane adds instead of a bit-serial set-bit walk). `weight`
+  /// is signed; Accumulator::sub passes a negative one. Returns the sum
+  /// of the PRE-update counts over those same bits (the dot of the old
+  /// counts with `words`), so Accumulator::add/sub maintain the
   /// incremental sum-of-squares without a second gather pass. `counts`
   /// must cover the bit span exactly like dot_counts (set bits only
   /// below counts.size(); callers enforce zero padding).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace seghdc::util {
 
@@ -12,6 +13,30 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
+}
+
+enum class Digits { kOk, kMalformed, kOverflow };
+
+/// Parses a non-empty run of decimal digits into `value`, stopping at
+/// the first non-digit (kMalformed) or the first digit that would
+/// overflow size_t (kOverflow).
+Digits parse_digits(std::string_view token, std::size_t& value) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (token.empty()) {
+    return Digits::kMalformed;
+  }
+  value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') {
+      return Digits::kMalformed;
+    }
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (value > (kMax - digit) / 10) {
+      return Digits::kOverflow;
+    }
+    value = value * 10 + digit;
+  }
+  return Digits::kOk;
 }
 
 }  // namespace
@@ -141,7 +166,6 @@ std::vector<std::size_t> Cli::parse_size_list(const std::string& spec,
   // (SEGHDC_KERNEL_BACKEND, SEGHDC_TILE_ROWS): a sweep list that
   // quietly dropped "x" from "4,x,8" would run a different sweep than
   // the one the caller asked for.
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> values;
   std::size_t begin = 0;
   while (begin <= spec.size()) {
@@ -153,19 +177,15 @@ std::vector<std::size_t> Cli::parse_size_list(const std::string& spec,
     if (end > begin) {
       const std::string token = spec.substr(begin, end - begin);
       std::size_t value = 0;
-      for (const char c : token) {
-        if (c < '0' || c > '9') {
-          throw std::invalid_argument("size list '" + spec +
-                                      "' contains malformed token '" +
-                                      token + "' (digits only)");
-        }
-        const auto digit = static_cast<std::size_t>(c - '0');
-        if (value > (kMax - digit) / 10) {
-          throw std::invalid_argument("size list '" + spec +
-                                      "' token '" + token +
-                                      "' overflows size_t");
-        }
-        value = value * 10 + digit;
+      const Digits status = parse_digits(token, value);
+      if (status == Digits::kMalformed) {
+        throw std::invalid_argument("size list '" + spec +
+                                    "' contains malformed token '" + token +
+                                    "' (digits only)");
+      }
+      if (status == Digits::kOverflow) {
+        throw std::invalid_argument("size list '" + spec + "' token '" +
+                                    token + "' overflows size_t");
       }
       if (value == 0 && !allow_zero) {
         throw std::invalid_argument("size list '" + spec +
@@ -177,6 +197,41 @@ std::vector<std::size_t> Cli::parse_size_list(const std::string& spec,
     begin = end + 1;
   }
   return values;
+}
+
+Cli::Size2 Cli::parse_wxh(const std::string& spec) {
+  // A size list cannot carry this: its parser treats 'x' as a malformed
+  // token, and "320,240" would silently pass as two list entries.
+  const std::size_t x = spec.find('x');
+  if (x == std::string::npos || spec.find('x', x + 1) != std::string::npos) {
+    throw std::invalid_argument("size '" + spec +
+                                "' must be WxH with exactly one 'x' "
+                                "(e.g. 320x240)");
+  }
+  const auto side = [&](std::string_view token, const std::string& name) {
+    if (token.empty()) {
+      throw std::invalid_argument("size '" + spec + "' has no " + name +
+                                  " (expected WxH, e.g. 320x240)");
+    }
+    std::size_t value = 0;
+    const Digits status = parse_digits(token, value);
+    if (status == Digits::kMalformed) {
+      throw std::invalid_argument("size '" + spec + "' " + name + " '" +
+                                  std::string(token) +
+                                  "' is not a decimal integer");
+    }
+    if (status == Digits::kOverflow) {
+      throw std::invalid_argument("size '" + spec + "' " + name + " '" +
+                                  std::string(token) + "' overflows size_t");
+    }
+    if (value == 0) {
+      throw std::invalid_argument("size '" + spec + "' " + name +
+                                  " must be positive");
+    }
+    return value;
+  };
+  const std::string_view view(spec);
+  return {side(view.substr(0, x), "width"), side(view.substr(x + 1), "height")};
 }
 
 }  // namespace seghdc::util

@@ -59,6 +59,18 @@ class Cli {
   static std::vector<std::size_t> parse_size_list(const std::string& spec,
                                                   bool allow_zero = true);
 
+  /// Width and height parsed from a `WxH` spec ("320x240").
+  struct Size2 {
+    std::size_t width = 0;
+    std::size_t height = 0;
+  };
+
+  /// Parses an image-size spec `WxH`: exactly two positive decimal
+  /// integers joined by one 'x'. Anything else ("320x", "x240", "0x240",
+  /// "320x240x3", "320,240", a side overflowing size_t) throws
+  /// std::invalid_argument naming the spec and what is wrong with it.
+  static Size2 parse_wxh(const std::string& spec);
+
  private:
   std::string program_;
   std::map<std::string, std::string> options_;

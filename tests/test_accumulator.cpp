@@ -240,4 +240,47 @@ TEST(Accumulator, HyperVectorAddForwardsThroughPackedOverload) {
   }
 }
 
+TEST(Accumulator, SubUndoesAddExactly) {
+  // sub is the K-Means difference update's inverse of add: removing a
+  // weighted point must restore counts, total weight, and the
+  // incrementally-maintained norm bit for bit.
+  Rng rng(24);
+  const std::size_t dim = 300;  // non-multiple of 64: padding in play
+  Accumulator acc(dim);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    acc.add(HyperVector::random(dim, rng), 2 + i % 4);
+  }
+  const Accumulator before = acc;
+  const auto point = HyperVector::random(dim, rng);
+  acc.add(point, 7);
+  acc.sub(point.words(), 7);
+  EXPECT_EQ(acc.total_weight(), before.total_weight());
+  EXPECT_EQ(acc.norm(), before.norm());
+  for (std::size_t i = 0; i < dim; ++i) {
+    ASSERT_EQ(acc.at(i), before.at(i)) << "component " << i;
+  }
+  // Subtracting everything that was added leaves an empty accumulator.
+  Accumulator single(dim);
+  single.add(point, 3);
+  single.sub(point.words(), 3);
+  EXPECT_EQ(single.total_weight(), 0u);
+  EXPECT_EQ(single.norm(), 0.0);
+}
+
+TEST(Accumulator, SubMoreWeightThanHeldThrows) {
+  Rng rng(25);
+  const auto point = HyperVector::random(128, rng);
+  Accumulator acc(128);
+  acc.add(point, 2);
+  try {
+    acc.sub(point.words(), 3);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "precondition violated: Accumulator::sub weight exceeds "
+                 "the total weight held");
+  }
+  EXPECT_EQ(acc.total_weight(), 2u) << "a rejected sub must not modify";
+}
+
 }  // namespace

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/kmeans.hpp"
 #include "src/hdc/accumulator.hpp"
@@ -23,7 +27,8 @@ struct TwoClusterData {
 };
 
 TwoClusterData make_two_clusters(std::size_t per_cluster, std::size_t dim,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed,
+                                 std::size_t flip_divisor = 50) {
   util::Rng rng(seed);
   TwoClusterData data;
   const auto anchor_a = hdc::HyperVector::random(dim, rng);
@@ -31,8 +36,8 @@ TwoClusterData make_two_clusters(std::size_t per_cluster, std::size_t dim,
   for (std::size_t i = 0; i < per_cluster; ++i) {
     auto a = anchor_a;
     auto b = anchor_b;
-    // Perturb ~2% of the bits.
-    for (std::size_t f = 0; f < dim / 50; ++f) {
+    // Perturb ~1/flip_divisor of the bits (~2% by default).
+    for (std::size_t f = 0; f < dim / flip_divisor; ++f) {
       a.flip(rng.next_below(dim));
       b.flip(rng.next_below(dim));
     }
@@ -150,7 +155,7 @@ TEST(HvKMeans, DeterministicAcrossRuns) {
   EXPECT_EQ(a.assignment, b.assignment);
 }
 
-// --- Parallel update step (per-chunk partial accumulators). ---
+// --- Parallel difference update (persistent per-chunk banks). ---
 
 /// Full-result comparison: everything a caller can observe must match.
 void expect_kmeans_results_identical(const HvKMeansResult& a,
@@ -170,38 +175,87 @@ void expect_kmeans_results_identical(const HvKMeansResult& a,
   }
 }
 
+/// Centroids and cluster weights must equal a from-scratch sequential
+/// re-accumulation of `result.assignment`: the persistent banks of the
+/// difference update may never drift from the plain re-sum.
+void expect_centroids_match_resum(const HvKMeansResult& result,
+                                  const std::vector<hdc::HyperVector>& points,
+                                  std::span<const std::uint32_t> weights) {
+  const std::size_t k = result.centroids.size();
+  std::vector<hdc::Accumulator> reference(k,
+                                          hdc::Accumulator(points[0].dim()));
+  std::vector<std::uint64_t> reference_weights(k, 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::uint32_t w = weights.empty() ? 1 : weights[i];
+    reference[result.assignment[i]].add(points[i], w);
+    reference_weights[result.assignment[i]] += w;
+  }
+  EXPECT_EQ(result.cluster_weights, reference_weights);
+  for (std::size_t c = 0; c < k; ++c) {
+    EXPECT_TRUE(std::ranges::equal(result.centroids[c].counts(),
+                                   reference[c].counts()))
+        << "centroid " << c;
+    EXPECT_EQ(result.centroids[c].total_weight(),
+              reference[c].total_weight());
+    EXPECT_EQ(result.centroids[c].norm(), reference[c].norm());
+  }
+}
+
+/// Heavily overlapping families (a third of the bits flipped) seeded
+/// from two members of the SAME family: iteration 0 splits the data
+/// badly and later iterations keep moving points, so the difference
+/// update really subtracts.
+TwoClusterData make_moving_data() { return make_two_clusters(40, 1000, 11, 3); }
+const std::vector<std::size_t> kMovingSeeds{0, 2};
+
+/// Points whose assignment changed in iterations 1..iterations-1 of a
+/// run: the update step's moves after iteration 0, read off the
+/// assignments of runs with 1..iterations iterations (each run is a
+/// prefix of the next). Valid for runs without reseeds.
+std::uint64_t moves_after_first_iteration(
+    HvKMeansConfig config, const std::vector<hdc::HyperVector>& points,
+    std::span<const std::uint32_t> weights,
+    std::span<const std::size_t> seeds) {
+  const std::size_t iterations = config.iterations;
+  std::uint64_t moved = 0;
+  std::vector<std::uint32_t> previous;
+  for (std::size_t t = 1; t <= iterations; ++t) {
+    config.iterations = t;
+    auto assignment = HvKMeans(config).run(points, weights, seeds).assignment;
+    for (std::size_t i = 0; i < previous.size(); ++i) {
+      moved += previous[i] != assignment[i] ? 1 : 0;
+    }
+    previous = std::move(assignment);
+  }
+  return moved;
+}
+
 TEST(HvKMeans, ParallelUpdateMatchesSequentialReference) {
-  // The parallel update (chunked partial accumulators, merged in chunk
-  // order) must leave exactly the centroids a sequential re-accumulation
-  // of the final assignment produces. Weighted points included so the
-  // partials exercise weight handling.
-  const auto data = make_two_clusters(40, 1024, 11);
+  // The difference update (persistent per-chunk banks, moved points
+  // subtracted and re-added, merged in chunk order) must leave exactly
+  // the centroids a sequential re-accumulation of the final assignment
+  // produces, on data that moves points after iteration 0 and at every
+  // pool size. Weighted points included so the banks exercise weight
+  // handling in both directions.
+  const auto data = make_moving_data();
   std::vector<std::uint32_t> weights(data.points.size(), 1);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     weights[i] = 1 + static_cast<std::uint32_t>(i % 5);
   }
-  util::ThreadPool pool(8);
   HvKMeansConfig config{.clusters = 2, .iterations = 6};
-  config.pool = &pool;
-  const auto result = HvKMeans(config).run(data.points, weights,
-                                           std::vector<std::size_t>{0, 1});
-  ASSERT_EQ(result.reseeds, 0u)
-      << "reference recomputation assumes no reseed patch";
-
-  const std::size_t dim = data.points[0].dim();
-  std::vector<seghdc::hdc::Accumulator> reference(
-      2, seghdc::hdc::Accumulator(dim));
-  std::vector<std::uint64_t> reference_weights(2, 0);
-  for (std::size_t i = 0; i < data.points.size(); ++i) {
-    reference[result.assignment[i]].add(data.points[i], weights[i]);
-    reference_weights[result.assignment[i]] += weights[i];
-  }
-  EXPECT_EQ(result.cluster_weights, reference_weights);
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_TRUE(std::ranges::equal(result.centroids[c].counts(),
-                                   reference[c].counts()))
-        << "centroid " << c;
-    EXPECT_DOUBLE_EQ(result.centroids[c].norm(), reference[c].norm());
+  ASSERT_GT(moves_after_first_iteration(config, data.points, weights,
+                                        kMovingSeeds),
+            0u)
+      << "test data no longer moves points after iteration 0";
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    config.pool = &pool;
+    const auto result =
+        HvKMeans(config).run(data.points, weights, kMovingSeeds);
+    ASSERT_EQ(result.reseeds, 0u)
+        << "reference recomputation assumes no reseed patch";
+    expect_centroids_match_resum(result, data.points, weights);
   }
 }
 
@@ -251,6 +305,33 @@ TEST(HvKMeans, ReseedPathDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST(HvKMeans, CentroidsOneIterationAfterReseedEqualResum) {
+  // The reseed patches only the destination centroid, leaving the
+  // source overcounted until the next update. One iteration later the
+  // merged banks must have overwritten the patch with the exact sums.
+  auto data = make_two_clusters(20, 1024, 5);
+  data.points[2] = data.points[0];
+  const std::vector<std::size_t> seeds{0, 1, 2};
+  // Find the first iteration that reseeds, then run one iteration more.
+  HvKMeansConfig config{.clusters = 3, .iterations = 1};
+  std::size_t reseeds = HvKMeans(config).run(data.points, {}, seeds).reseeds;
+  while (reseeds == 0) {
+    ASSERT_LT(++config.iterations, 8u)
+        << "test data no longer exercises the reseed path";
+    reseeds = HvKMeans(config).run(data.points, {}, seeds).reseeds;
+  }
+  ++config.iterations;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    config.pool = &pool;
+    const auto result = HvKMeans(config).run(data.points, {}, seeds);
+    ASSERT_EQ(result.reseeds, reseeds)
+        << "the iteration after the reseed must not reseed again";
+    expect_centroids_match_resum(result, data.points, {});
+  }
+}
+
 TEST(HvKMeans, ExplicitPoolMatchesSharedPool) {
   const auto data = make_two_clusters(15, 512, 13);
   const HvKMeans shared_pool_kmeans(
@@ -266,20 +347,45 @@ TEST(HvKMeans, ExplicitPoolMatchesSharedPool) {
 }
 
 TEST(HvKMeans, OpsAccounting) {
-  const auto data = make_two_clusters(8, 256, 7);
+  const auto data = make_moving_data();
+  const std::uint64_t n = data.points.size();
+  const std::uint64_t dim = data.points[0].dim();
+  constexpr std::uint64_t kIterations = 5;
   // Pins the exhaustive-mode formulas, so force that mode explicitly —
   // an SEGHDC_ASSIGN_MODE=pruned environment (the CI matrix sets it)
   // must not flip this run onto the measured accounting, which
   // test_kmeans_pruned pins separately.
-  const HvKMeans kmeans(HvKMeansConfig{.clusters = 2,
-                                       .iterations = 4,
-                                       .assign_mode = AssignMode::kExhaustive});
-  const auto result = kmeans.run(data.points, {},
-                                 std::vector<std::size_t>{0, 1});
-  const std::uint64_t n = data.points.size();
-  EXPECT_EQ(result.ops.dot_adds, n * 2 * 256 * 4);
-  EXPECT_EQ(result.ops.centroid_update_adds, n * 256 * 4);
-  EXPECT_EQ(result.ops.distance_evals, n * 2 * 4);
+  HvKMeansConfig config{.clusters = 2,
+                        .iterations = kIterations,
+                        .assign_mode = AssignMode::kExhaustive};
+  // The update adds every point once at iteration 0, then subtracts and
+  // re-adds each point that moves: n*dim + 2*dim per later move.
+  const std::uint64_t moved =
+      moves_after_first_iteration(config, data.points, {}, kMovingSeeds);
+  ASSERT_GT(moved, 0u) << "test data no longer moves points after "
+                          "iteration 0";
+  std::vector<OpCounts> ops;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    config.pool = &pool;
+    const auto result = HvKMeans(config).run(data.points, {}, kMovingSeeds);
+    ASSERT_EQ(result.reseeds, 0u) << "move count assumes no reseed";
+    EXPECT_EQ(result.ops.dot_adds, n * 2 * dim * kIterations);
+    EXPECT_EQ(result.ops.centroid_update_adds, n * dim + 2 * dim * moved);
+    EXPECT_EQ(result.ops.distance_evals, n * 2 * kIterations);
+    ops.push_back(result.ops);
+  }
+  // Pool-invariant: the counts depend on the assignment history alone.
+  for (std::size_t p = 1; p < ops.size(); ++p) {
+    EXPECT_EQ(ops[p].bind_xor_bits, ops[0].bind_xor_bits);
+    EXPECT_EQ(ops[p].popcount_bits, ops[0].popcount_bits);
+    EXPECT_EQ(ops[p].dot_adds, ops[0].dot_adds);
+    EXPECT_EQ(ops[p].centroid_update_adds, ops[0].centroid_update_adds);
+    EXPECT_EQ(ops[p].distance_evals, ops[0].distance_evals);
+    EXPECT_EQ(ops[p].candidates_pruned, ops[0].candidates_pruned);
+    EXPECT_EQ(ops[p].words_scanned, ops[0].words_scanned);
+  }
 }
 
 TEST(HvKMeans, ValidatesArguments) {

@@ -404,12 +404,19 @@ TEST(TraceDeterminism, GoldenBatchHashUnchangedWithTracingOn) {
   EXPECT_FALSE(events.empty());
   bool saw_kmeans = false;
   bool saw_band = false;
+  bool saw_update = false;
+  bool saw_snapshot = false;
   for (const auto& event : events) {
-    saw_kmeans = saw_kmeans || std::string(event.name) == "kmeans";
-    saw_band = saw_band || std::string(event.name) == "encode_band";
+    const std::string name = event.name;
+    saw_kmeans = saw_kmeans || name == "kmeans";
+    saw_band = saw_band || name == "encode_band";
+    saw_update = saw_update || name == "kmeans_update";
+    saw_snapshot = saw_snapshot || name == "centroid_snapshot";
   }
   EXPECT_TRUE(saw_kmeans);
   EXPECT_TRUE(saw_band);
+  EXPECT_TRUE(saw_update);
+  EXPECT_TRUE(saw_snapshot);
 }
 
 TEST(TraceDeterminism, GoldenStreamHashUnchangedWithTracingOn) {

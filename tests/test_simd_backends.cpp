@@ -212,12 +212,13 @@ TEST(SimdBackends, KernelLayerMatchesReferenceAtNonWordDims) {
 TEST(SimdBackends, AccumulateMatchesScalarOnAdversarialSpans) {
   // The fused centroid-accumulate kernel: every backend must produce
   // the scalar walk's exact post-add counts AND pre-add dot, including
-  // weights > 1, block-boundary span lengths, and a counts vector
-  // shorter than 64 * words (partial trailing block, exercised with the
-  // padding invariant the real call sites guarantee).
+  // weights > 1, negative weights (Accumulator::sub), block-boundary
+  // span lengths, and a counts vector shorter than 64 * words (partial
+  // trailing block, exercised with the padding invariant the real call
+  // sites guarantee).
   const auto* scalar = simd::find_backend("scalar");
   ASSERT_NE(scalar, nullptr);
-  const std::vector<std::int64_t> weights{1, 2, 7, 100000};
+  const std::vector<std::int64_t> weights{1, 2, 7, 100000, -1, -7};
   for (const std::size_t words : kWordCounts) {
     auto sets = adversarial_word_sets(words);
     // A short-counts variant: 30 fewer count slots than bits, with the
