@@ -162,8 +162,8 @@ struct SegHdcConfig {
   /// the session pool (~4 bands per thread; one band when the pool is
   /// single-threaded or the call runs on a serialised segment_many
   /// worker, where tiling is pure overhead). Any value >= the image
-  /// height means one band, i.e. the untiled serial scan. A performance
-  /// knob, never a semantics knob.
+  /// height means one band: a serial scan with no merge table and no
+  /// relabel pass. A performance knob, never a semantics knob.
   std::size_t tile_rows = 0;
   /// Forces the process-wide span tracer (src/obs/trace.hpp) on when a
   /// session/pipeline is constructed with this config. false (the

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -20,6 +19,7 @@
 #include "src/hdc/simd/backend.hpp"
 #include "src/imaging/color.hpp"
 #include "src/obs/trace.hpp"
+#include "src/util/cli.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/stopwatch.hpp"
 
@@ -124,42 +124,62 @@ struct SegHdcSession::EncoderState {
             rng) {}
 };
 
-/// Reusable per-worker arena for encode: the dedup map, the unique-point
-/// refs, and the memoised position/color HVs. The HV caches are keyed by
-/// encoder state and survive across images of the same geometry (their
-/// values are pure functions of the state), so a worker streaming
-/// similar frames stops re-deriving the same HVs; the per-image
-/// containers are cleared (capacity retained) between calls.
+/// Reusable per-worker arena for encode: the row bands, the merge
+/// table, and the memoised position/color HVs. The HV caches are keyed
+/// by encoder state and survive across images of the same geometry
+/// (their values are pure functions of the state), so a worker
+/// streaming similar frames stops re-deriving the same HVs; the
+/// per-image containers are cleared (capacity retained) between calls.
 struct SegHdcSession::EncodeScratch {
   struct UniqueRef {
     std::size_t x, y;  ///< representative pixel
     std::array<std::uint8_t, 3> color;
   };
 
-  /// Phase-1 arena of one row band: the band's local dedup table and,
-  /// per local unique point, its key, first-occurrence ref, and pixel
-  /// weight. `remap` (local id -> global id) is filled by the fixed
-  /// band-order merge. One per tile, reused across images (cleared,
-  /// capacity retained) like the rest of the scratch.
-  struct TileScratch {
+  /// One row band of the encode: its local dedup table and, per local
+  /// unique point, its key (dedup only), first-occurrence ref, and
+  /// pixel weight. `remap` (local id -> global id) is filled by the
+  /// fixed band-order merge. A stream's bands also cache what reusing
+  /// them takes: the band's pixel-byte hash, its per-pixel local ids,
+  /// and its bound rows. Band-local encode outputs are pure functions of
+  /// the dedup keys (the position HV depends only on the block indices,
+  /// the color HV only on the quantised color), so an unchanged band's
+  /// cache IS its re-encode, bit for bit.
+  struct Band {
     std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
     std::vector<std::uint64_t> keys;
     std::vector<UniqueRef> refs;
     std::vector<std::uint32_t> weights;
     std::vector<std::uint32_t> remap;
+    /// This encode took the band from its stream cache instead of
+    /// scanning it (always false on a cold encode).
+    bool reused = false;
+    // The stream cache, untouched by cold encodes:
+    std::uint64_t hash = 0;
+    /// False until the band's table AND rows are fully rebuilt (a throw
+    /// mid-rebuild must not leave a half-cache eligible for reuse).
+    bool valid = false;
+    std::vector<std::uint32_t> local_ids;  ///< per band pixel
+    hdc::HvBlock hvs;                      ///< per local unique point
 
-    void begin_band(std::size_t band_pixels, double unique_ratio) {
+    void begin_band(std::size_t reserve) {
       key_to_local.clear();
       keys.clear();
       refs.clear();
       weights.clear();
-      key_to_local.reserve(expected_unique(band_pixels, unique_ratio));
+      key_to_local.reserve(reserve);
     }
   };
 
+  /// Where a global unique point was first seen: its band and local id.
+  struct Origin {
+    std::uint32_t band;
+    std::uint32_t local;
+  };
+
+  std::vector<Band> bands;
   std::unordered_map<std::uint64_t, std::uint32_t> key_to_unique;
-  std::vector<UniqueRef> refs;
-  std::vector<TileScratch> tiles;
+  std::vector<Origin> origin;  ///< per global unique point
   /// Unique ratio (unique points / pixels) observed on the previous
   /// image through this arena; seeds the dedup-map reserves so low-dedup
   /// images (noise, photos) don't rehash repeatedly mid-scan. Starts at
@@ -174,8 +194,6 @@ struct SegHdcSession::EncodeScratch {
   const EncoderState* cached_state = nullptr;
 
   void begin_image(const EncoderState& state, std::size_t dim) {
-    key_to_unique.clear();
-    refs.clear();
     if (cached_state != &state) {
       position_cache.clear();
       color_cache.clear();
@@ -195,39 +213,16 @@ struct SegHdcSession::EncodeScratch {
   }
 };
 
-/// Temporal cache for one ordered frame stream. Per row band (the PR-4
-/// tile layout, pinned per geometry when the stream starts): the band's
-/// pixel-byte hash, its local dedup table (keys, weights, band-local
-/// pixel ids), and its bound pixel HVs. Band-local encode outputs are
-/// pure functions of the dedup keys — the position HV depends only on
-/// the block indices and the color HV only on the quantised color — so
-/// an unchanged band's cache IS its re-encode, bit for bit. Plus the
-/// whole-stream state: the previous frame (reuse baseline + replay
-/// trigger), the previous result (replay payload), and the previous
-/// centroids' majority snapshots (warm K-Means seeds).
+/// Temporal state for one ordered frame stream: the band layout, pinned
+/// per geometry when the stream starts (the bands and their caches live
+/// in `scratch`), the previous frame (reuse baseline + replay trigger),
+/// the previous result (replay payload), and the previous centroids'
+/// majority snapshots (warm K-Means seeds).
 struct SegHdcSession::StreamState {
-  struct BandCache {
-    std::uint64_t hash = 0;
-    /// False until the band's dedup table AND HVs are fully built (a
-    /// throw mid-rebuild must not leave a half-cache eligible for
-    /// reuse).
-    bool valid = false;
-    std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
-    std::vector<std::uint64_t> keys;                    // per local unique
-    std::vector<EncodeScratch::UniqueRef> refs;         // per local unique
-    std::vector<std::uint32_t> weights;                 // per local unique
-    std::vector<std::uint8_t> intensities;              // per local unique
-    hdc::HvBlock hvs;                                   // per local unique
-    std::vector<std::uint32_t> local_ids;               // per band pixel
-    std::vector<std::uint32_t> remap;  // local -> global, per frame
-  };
-
   std::uint64_t geometry = 0;  ///< geometry_key of the stream; 0 = none yet
   std::size_t tile_rows = 0;
-  std::size_t tile_count = 0;
   img::ImageU8 prev_frame;
   bool has_prev = false;
-  std::vector<BandCache> bands;
   std::vector<hdc::HyperVector> prev_centroids;  ///< majority snapshots
   SegmentationResult prev_result;
   bool has_result = false;
@@ -238,17 +233,17 @@ struct SegHdcSession::StreamState {
   void reset() {
     geometry = 0;
     tile_rows = 0;
-    tile_count = 0;
     prev_frame = img::ImageU8();
     has_prev = false;
-    bands.clear();
     prev_centroids.clear();
     prev_result = SegmentationResult();
     has_result = false;
     frame_index = 0;
     last_stats = StreamFrameStats();
-    // scratch is deliberately kept: its memoised position/color HVs are
-    // pure functions of the encoder state, not of temporal history.
+    // The band caches are temporal history and go; the rest of scratch
+    // is kept: its memoised position/color HVs are pure functions of the
+    // encoder state.
+    scratch.bands.clear();
   }
 };
 
@@ -288,22 +283,15 @@ SegHdcSession::SegHdcSession(const SegHdcConfig& config,
   tile_rows_ = config_.tile_rows;
   if (tile_rows_ == 0) {
     const char* env = std::getenv("SEGHDC_TILE_ROWS");
-    if (env != nullptr && *env != '\0') {
-      // Malformed values are hard errors, like SEGHDC_KERNEL_BACKEND:
-      // an override that silently fell back to auto would make a forced
-      // CI tiling run meaningless. Require a plain digit string (no
-      // sign, no whitespace — strtoull would skip both) and reject
-      // overflow.
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long value = std::strtoull(env, &end, 10);
-      if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE) {
-        throw std::invalid_argument(
-            std::string("SEGHDC_TILE_ROWS must be a non-negative "
-                        "integer, got '") +
-            env + "'");
-      }
-      tile_rows_ = static_cast<std::size_t>(value);
+    // Malformed values (signs, whitespace, overflow included) are hard
+    // errors, like SEGHDC_KERNEL_BACKEND: an override that silently fell
+    // back to auto would make a forced CI tiling run meaningless.
+    if (env != nullptr && *env != '\0' &&
+        util::parse_digits(env, tile_rows_) != util::Digits::kOk) {
+      throw std::invalid_argument(
+          std::string("SEGHDC_TILE_ROWS must be a non-negative integer, "
+                      "got '") +
+          env + "'");
     }
   }
 }
@@ -427,7 +415,8 @@ SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
 
 EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         const EncoderState& state,
-                                        EncodeScratch& scratch) const {
+                                        EncodeScratch& scratch,
+                                        const StreamState* stream) const {
   const PositionEncoder& position_encoder = state.position;
   const ColorEncoder& color_encoder = state.color;
   scratch.begin_image(state, config_.dim);
@@ -437,180 +426,180 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   encoded.height = image.height();
   encoded.pixel_to_unique.resize(image.pixel_count());
 
-  // --- Pass 1: dedup keys, tiled into row bands. Each band builds its
-  // local key -> first-occurrence table in parallel (with per-pixel
-  // weights counted on the way); the bands are then merged into the
-  // global table in fixed band order, so unique-point IDs come out in
-  // exactly the order the old serial row-major scan assigned them —
-  // labels are bit-identical at every thread count and tile size. When
-  // deduplication is disabled every pixel is its own "unique" point
-  // with ID = pixel index (identical semantics, full cost), which the
-  // bands fill directly. ---
-  auto& key_to_unique = scratch.key_to_unique;
-  auto& refs = scratch.refs;
   const std::size_t width = image.width();
   const std::size_t height = image.height();
+  const std::size_t channels = image.channels();
   const std::size_t pixel_count = image.pixel_count();
-  const std::size_t tile_rows = tile_rows_for(height);
+  const std::size_t tile_rows =
+      stream != nullptr ? stream->tile_rows : tile_rows_for(height);
   const std::size_t tile_count = (height + tile_rows - 1) / tile_rows;
-
+  const bool dedup = config_.deduplicate;
   const std::size_t shift = config_.color_quantization_shift;
-  const auto quantized_color = [&](std::size_t x, std::size_t y) {
-    std::array<std::uint8_t, 3> color{0, 0, 0};
-    for (std::size_t c = 0; c < image.channels(); ++c) {
-      color[c] = quantize_midpoint(image(x, y, c), shift);
-    }
-    return color;
-  };
+  const double unique_ratio = scratch.last_unique_ratio;
+  auto& bands = scratch.bands;
+  if (bands.size() < tile_count) {
+    bands.resize(tile_count);
+  }
 
-  if (!config_.deduplicate) {
-    // Every pixel its own unique point: band-parallel direct fill.
-    refs.resize(pixel_count);
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          const std::size_t y_end = std::min(height, (t + 1) * tile_rows);
-          for (std::size_t y = t * tile_rows; y < y_end; ++y) {
-            for (std::size_t x = 0; x < width; ++x) {
-              const std::size_t pixel_index = y * width + x;
-              encoded.pixel_to_unique[pixel_index] =
-                  static_cast<std::uint32_t>(pixel_index);
-              refs[pixel_index] =
-                  EncodeScratch::UniqueRef{x, y, quantized_color(x, y)};
-            }
+  // --- Step 1: scan each row band into its own dedup table, in
+  // parallel, counting per-key pixel weights on the way. Band t touches
+  // only its arena and its pixels' local ids, which a cold encode writes
+  // into its slice of pixel_to_unique and a stream keeps in the band's
+  // cache. With dedup off every pixel is its own point (keyed, in
+  // effect, by its pixel index, which never repeats), so no key is
+  // built and the table is skipped. On a stream, a band whose bytes are
+  // unchanged since the previous frame (hash hit confirmed by an exact
+  // byte compare) is reused from its cache instead of scanned. ---
+  pool().parallel_for(
+      0, tile_count,
+      [&](std::size_t t) {
+        obs::SpanScope span("encode_band", "core", "band", t);
+        auto& band = bands[t];
+        const std::size_t y_begin = t * tile_rows;
+        const std::size_t y_end = std::min(height, y_begin + tile_rows);
+        const std::size_t band_pixels = (y_end - y_begin) * width;
+        std::uint32_t* local_ids =
+            encoded.pixel_to_unique.data() + y_begin * width;
+        band.reused = false;
+        if (stream != nullptr) {
+          const std::size_t byte_begin = y_begin * width * channels;
+          const std::size_t byte_count = band_pixels * channels;
+          const std::uint8_t* bytes = image.data() + byte_begin;
+          const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
+          band.reused =
+              band.valid && stream->has_prev && band.hash == hash &&
+              std::memcmp(bytes, stream->prev_frame.data() + byte_begin,
+                          byte_count) == 0;
+          span.arg("reused", band.reused ? 1 : 0);
+          if (band.reused) {
+            return;
           }
-        },
-        /*grain=*/1);
-    encoded.weights.assign(refs.size(), 1);
-  } else if (tile_count == 1) {
-    // One band: scan straight into the global table — the serial
-    // reference path, with no double-hash merge overhead. This is also
-    // the segment_many worker shape (SerialScope pins auto to one band).
-    key_to_unique.reserve(
-        expected_unique(pixel_count, scratch.last_unique_ratio));
-    encoded.weights.clear();
-    for (std::size_t y = 0; y < height; ++y) {
-      for (std::size_t x = 0; x < width; ++x) {
-        const auto color = quantized_color(x, y);
-        // kRandom position HVs differ per block index as well, so the
-        // same key function applies to every encoding variant.
-        const std::uint64_t key = make_key(position_encoder.row_block(y),
-                                           position_encoder.col_block(x),
-                                           color);
-        const auto [it, inserted] = key_to_unique.try_emplace(
-            key, static_cast<std::uint32_t>(refs.size()));
-        if (inserted) {
-          refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-          encoded.weights.push_back(0);
+          band.hash = hash;
+          band.valid = false;  // until step 4 refreshes its rows
+          band.local_ids.resize(band_pixels);
+          local_ids = band.local_ids.data();
         }
-        ++encoded.weights[it->second];
-        encoded.pixel_to_unique[y * width + x] = it->second;
-      }
-    }
-  } else {
-    if (scratch.tiles.size() < tile_count) {
-      scratch.tiles.resize(tile_count);
-    }
-    const double unique_ratio = scratch.last_unique_ratio;
-    // Phase 1a: per-band local dedup tables, in parallel. Band t only
-    // touches its own arena and its own slice of pixel_to_unique (which
-    // temporarily holds band-local IDs).
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          const obs::SpanScope span("encode_band", "core", "band", t);
-          auto& tile = scratch.tiles[t];
-          const std::size_t y_begin = t * tile_rows;
-          const std::size_t y_end = std::min(height, y_begin + tile_rows);
-          tile.begin_band((y_end - y_begin) * width, unique_ratio);
-          for (std::size_t y = y_begin; y < y_end; ++y) {
-            for (std::size_t x = 0; x < width; ++x) {
-              const auto color = quantized_color(x, y);
+        band.begin_band(dedup ? expected_unique(band_pixels, unique_ratio)
+                              : 0);
+        for (std::size_t y = y_begin; y < y_end; ++y) {
+          for (std::size_t x = 0; x < width; ++x) {
+            std::array<std::uint8_t, 3> color{0, 0, 0};
+            for (std::size_t c = 0; c < channels; ++c) {
+              color[c] = quantize_midpoint(image(x, y, c), shift);
+            }
+            auto local = static_cast<std::uint32_t>(band.refs.size());
+            if (dedup) {
+              // kRandom position HVs differ per block index as well, so
+              // the same key function applies to every encoding variant.
               const std::uint64_t key =
                   make_key(position_encoder.row_block(y),
                            position_encoder.col_block(x), color);
-              const auto [it, inserted] = tile.key_to_local.try_emplace(
-                  key, static_cast<std::uint32_t>(tile.refs.size()));
+              const auto [it, inserted] =
+                  band.key_to_local.try_emplace(key, local);
               if (inserted) {
-                tile.keys.push_back(key);
-                tile.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-                tile.weights.push_back(0);
+                band.keys.push_back(key);
               }
-              ++tile.weights[it->second];
-              encoded.pixel_to_unique[y * width + x] = it->second;
+              local = it->second;
             }
+            if (local == band.refs.size()) {  // first occurrence
+              band.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
+              band.weights.push_back(1);
+            } else {
+              ++band.weights[local];
+            }
+            local_ids[(y - y_begin) * width + x] = local;
           }
-        },
-        /*grain=*/1);
-
-    // Phase 1b: merge bands in fixed order. A key's global ID is
-    // assigned at its first band (bands are row-ordered and each band's
-    // locals are in row-major first-occurrence order), so IDs — and the
-    // representative refs — replicate the serial scan exactly. Work is
-    // O(sum of band unique counts), not O(pixels).
-    key_to_unique.reserve(
-        expected_unique(pixel_count, scratch.last_unique_ratio));
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      auto& tile = scratch.tiles[t];
-      tile.remap.resize(tile.refs.size());
-      for (std::size_t local = 0; local < tile.refs.size(); ++local) {
-        const auto [it, inserted] = key_to_unique.try_emplace(
-            tile.keys[local], static_cast<std::uint32_t>(refs.size()));
-        if (inserted) {
-          refs.push_back(tile.refs[local]);
         }
-        tile.remap[local] = it->second;
-      }
-    }
-    // Weight histogram: per-band counts were taken in phase 1a, so the
-    // old serial O(pixels) pass shrinks to summing band partials over
-    // the merged unique set.
-    encoded.weights.assign(refs.size(), 0);
-    for (std::size_t t = 0; t < tile_count; ++t) {
-      const auto& tile = scratch.tiles[t];
-      for (std::size_t local = 0; local < tile.refs.size(); ++local) {
-        encoded.weights[tile.remap[local]] += tile.weights[local];
-      }
-    }
-    // Phase 1c: relabel each band's pixels from band-local to global
-    // IDs, band-parallel again.
-    pool().parallel_for(
-        0, tile_count,
-        [&](std::size_t t) {
-          const auto& remap = scratch.tiles[t].remap;
-          const std::size_t begin = t * tile_rows * width;
-          const std::size_t end =
-              std::min(height, (t + 1) * tile_rows) * width;
-          for (std::size_t p = begin; p < end; ++p) {
-            encoded.pixel_to_unique[p] = remap[encoded.pixel_to_unique[p]];
-          }
-        },
-        /*grain=*/1);
+      },
+      /*grain=*/1);
+
+  // --- Step 2: merge the bands in fixed band order. A key's global ID
+  // is assigned at its first band (bands are row-ordered and each
+  // band's locals are in row-major first-occurrence order), so IDs — and
+  // the representative refs — replicate the serial row-major scan
+  // exactly, whichever bands were scanned or reused, at every thread
+  // count and tile size. Keys repeat across bands only in a multi-band
+  // dedup encode; otherwise every local is a new ID and the merge table
+  // is skipped. Work is O(sum of band unique counts), not O(pixels). ---
+  auto& origin = scratch.origin;
+  auto& key_to_unique = scratch.key_to_unique;
+  const bool keys_repeat = dedup && tile_count > 1;
+  origin.clear();
+  key_to_unique.clear();
+  if (keys_repeat) {
+    key_to_unique.reserve(expected_unique(pixel_count, unique_ratio));
   }
+  for (std::size_t t = 0; t < tile_count; ++t) {
+    auto& band = bands[t];
+    band.remap.resize(band.refs.size());
+    for (std::size_t local = 0; local < band.refs.size(); ++local) {
+      const auto next = static_cast<std::uint32_t>(origin.size());
+      const std::uint32_t id =
+          keys_repeat
+              ? key_to_unique.try_emplace(band.keys[local], next).first->second
+              : next;
+      if (id == next) {
+        origin.push_back(EncodeScratch::Origin{
+            static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(local)});
+        encoded.weights.push_back(0);
+      }
+      band.remap[local] = id;
+      encoded.weights[id] += band.weights[local];
+    }
+  }
+  const std::size_t n_unique = origin.size();
   // Images are validated non-empty, so pixel_count >= 1 here.
   scratch.last_unique_ratio =
-      static_cast<double>(refs.size()) / static_cast<double>(pixel_count);
+      static_cast<double>(n_unique) / static_cast<double>(pixel_count);
+  // Relabel each band's pixels from band-local to global IDs,
+  // band-parallel. Band 0 merges first, so its remap is the identity:
+  // in place (cold), its ids are already global.
+  pool().parallel_for(
+      0, tile_count,
+      [&](std::size_t t) {
+        const auto& band = bands[t];
+        const std::size_t begin = t * tile_rows * width;
+        const std::size_t end = std::min(height, (t + 1) * tile_rows) * width;
+        std::uint32_t* out = encoded.pixel_to_unique.data() + begin;
+        const std::uint32_t* local_ids =
+            stream != nullptr ? band.local_ids.data() : out;
+        if (local_ids == out && t == 0) {
+          return;
+        }
+        for (std::size_t i = 0; i < end - begin; ++i) {
+          out[i] = band.remap[local_ids[i]];
+        }
+      },
+      /*grain=*/1);
 
-  // --- Pass 2a: memoise the position and color HVs. Position HVs
-  // repeat across every color in a block and color HVs repeat across
-  // blocks, so each distinct HV is built exactly once per session
-  // geometry; the per-point work left over is one word-parallel XOR. ---
-  encoded.intensities.resize(refs.size());
-  auto& position_cache = scratch.position_cache;
-  auto& color_cache = scratch.color_cache;
+  // --- Step 3: memoise the position and color HVs of every unique
+  // point first seen in a scanned band. Position HVs repeat across every
+  // color in a block and color HVs repeat across blocks, so each
+  // distinct HV is built exactly once per session geometry; the
+  // per-point work left over is one word-parallel XOR. ---
+  encoded.intensities.resize(n_unique);
   auto& position_of = scratch.position_of;
   auto& color_of = scratch.color_of;
-  position_of.assign(refs.size(), nullptr);
-  color_of.assign(refs.size(), nullptr);
-  for (std::size_t u = 0; u < refs.size(); ++u) {
-    const auto& ref = refs[u];
+  position_of.assign(n_unique, nullptr);
+  color_of.assign(n_unique, nullptr);
+  std::uint64_t binds = 0;
+  for (std::size_t u = 0; u < n_unique; ++u) {
+    const auto& band = bands[origin[u].band];
+    const auto& ref = band.refs[origin[u].local];
+    encoded.intensities[u] =
+        channels == 1 ? ref.color[0]
+                      : img::luma(ref.color[0], ref.color[1], ref.color[2]);
+    if (band.reused) {
+      continue;  // its row is copied from the band's cache below
+    }
+    ++binds;
     const std::uint64_t position_key =
         (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
          << 20) |
         position_encoder.col_block(ref.x);
-    auto pos_it = position_cache.find(position_key);
-    if (pos_it == position_cache.end()) {
-      pos_it = position_cache
+    auto pos_it = scratch.position_cache.find(position_key);
+    if (pos_it == scratch.position_cache.end()) {
+      pos_it = scratch.position_cache
                    .emplace(position_key,
                             position_encoder.encode(ref.y, ref.x))
                    .first;
@@ -619,38 +608,62 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
     const std::uint32_t color_key =
         (static_cast<std::uint32_t>(ref.color[0]) << 16) |
         (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-    auto color_it = color_cache.find(color_key);
-    if (color_it == color_cache.end()) {
+    auto color_it = scratch.color_cache.find(color_key);
+    if (color_it == scratch.color_cache.end()) {
       color_it =
-          color_cache
+          scratch.color_cache
               .emplace(color_key,
                        color_encoder.encode(std::span<const std::uint8_t>(
-                           ref.color.data(), image.channels())))
+                           ref.color.data(), channels)))
               .first;
     }
     color_of[u] = &color_it->second;
-    encoded.intensities[u] =
-        image.channels() == 1
-            ? ref.color[0]
-            : img::luma(ref.color[0], ref.color[1], ref.color[2]);
   }
-  // --- Pass 2b: bind position x color straight into the packed block,
-  // data-parallel over unique points. No per-point HyperVector is
-  // allocated; each row is one fused XOR over cached word spans. ---
-  encoded.unique_hvs = hdc::HvBlock(config_.dim, refs.size());
+  // Bind position x color straight into the packed block, data-parallel
+  // over unique points. No per-point HyperVector is allocated; each row
+  // is one fused XOR over cached word spans, or a copy of a reused
+  // band's row.
+  encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
   pool().parallel_for(
-      0, refs.size(),
+      0, n_unique,
       [&](std::size_t u) {
-        hdc::kernels::xor_words(encoded.unique_hvs.row(u),
-                                position_of[u]->words(),
-                                color_of[u]->words());
+        const auto row = encoded.unique_hvs.row(u);
+        const auto& band = bands[origin[u].band];
+        if (band.reused) {
+          std::ranges::copy(band.hvs.row(origin[u].local), row.begin());
+        } else {
+          hdc::kernels::xor_words(row, position_of[u]->words(),
+                                  color_of[u]->words());
+        }
       },
       /*grain=*/64);
-  encoded.ops.bind_xor_bits +=
-      static_cast<std::uint64_t>(refs.size()) * config_.dim;
+  encoded.ops.bind_xor_bits += binds * config_.dim;
 
-  // Fault injection: corrupt the encoded pixel HVs at the configured
-  // bit-error rate (models storing them in an approximate memory).
+  // --- Step 4 (stream only): refresh each scanned band's cache from the
+  // merged rows, so the next frame can reuse the band. ---
+  if (stream != nullptr) {
+    pool().parallel_for(
+        0, tile_count,
+        [&](std::size_t t) {
+          auto& band = bands[t];
+          if (band.reused) {
+            return;
+          }
+          band.hvs = hdc::HvBlock(config_.dim, band.remap.size());
+          for (std::size_t local = 0; local < band.remap.size(); ++local) {
+            std::ranges::copy(encoded.unique_hvs.row(band.remap[local]),
+                              band.hvs.row(local).begin());
+          }
+          band.valid = true;
+        },
+        /*grain=*/1);
+  }
+
+  // --- Step 5: fault injection corrupts the merged rows at the
+  // configured bit-error rate (models storing them in an approximate
+  // memory). It runs after step 4 so the band caches stay clean, and
+  // over every row in global order, so the sequential fault RNG stream
+  // is the same whichever bands were reused. ---
   if (config_.bit_error_rate > 0.0) {
     util::Rng fault_rng(config_.seed ^ 0xFA017ULL);
     for (std::size_t u = 0; u < encoded.unique_hvs.count(); ++u) {
@@ -822,29 +835,22 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   StreamState& s = *stream.impl_;
   const util::Stopwatch total_watch;
 
-  // Fault injection consumes one sequential RNG stream over the global
-  // unique rows and no-dedup skips the tile tables entirely — both are
-  // incompatible with per-band caching, so those configs re-encode every
-  // frame (replay and warm seeding still apply).
-  const bool band_cache_active =
-      config_.deduplicate && config_.bit_error_rate == 0.0;
-
   const std::uint64_t geometry = geometry_key(frame);
   if (s.geometry != geometry) {
     // New stream, reset(), or mid-stream geometry change: drop all
-    // temporal state and pin the band layout for this geometry. The
-    // frame below runs the exact cold path.
+    // temporal state and pin the band layout for this geometry. With no
+    // band cache left, the frame below scans every band: the cold
+    // encode on the stream's bands.
     const std::size_t frame_index = s.frame_index;
     s.reset();
     s.frame_index = frame_index;
     s.geometry = geometry;
     s.tile_rows = stream_tile_rows_for(frame.height());
-    s.tile_count = (frame.height() + s.tile_rows - 1) / s.tile_rows;
-    s.bands.resize(s.tile_count);
   }
 
   StreamFrameStats stats;
   stats.frame_index = s.frame_index;
+  stats.tiles_total = (frame.height() + s.tile_rows - 1) / s.tile_rows;
 
   // Replay shortcut: segmentation is a pure function of (config, image),
   // so a frame byte-identical to its predecessor replays the cached
@@ -854,7 +860,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
                               s.frame_index);
     stats.warm = true;
     stats.replayed = true;
-    stats.tiles_total = band_cache_active ? s.tile_count : 0;
     stats.tiles_reused = stats.tiles_total;
     SegmentationResult result = s.prev_result;  // copy; cache stays armed
     result.ops = OpCounts{};  // honest: this frame performed no work
@@ -868,10 +873,12 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
 
   const EncoderState& state = state_for(frame);
   const util::Stopwatch encode_watch;
-  EncodedImage encoded =
-      band_cache_active ? encode_stream_impl(frame, state, s, stats)
-                        : encode_impl(frame, state, s.scratch);
+  EncodedImage encoded = encode_impl(frame, state, s.scratch, &s);
   const double encode_seconds = encode_watch.seconds();
+  for (std::size_t t = 0; t < stats.tiles_total; ++t) {
+    stats.tiles_reused += s.scratch.bands[t].reused ? 1 : 0;
+  }
+  stats.tiles_encoded = stats.tiles_total - stats.tiles_reused;
 
   FinalizeOptions options;
   std::vector<hdc::HyperVector> next_centroids;
@@ -895,220 +902,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   s.last_stats = stats;
   ++s.frame_index;
   return StreamFrameResult{std::move(result), stats};
-}
-
-EncodedImage SegHdcSession::encode_stream_impl(const img::ImageU8& image,
-                                               const EncoderState& state,
-                                               StreamState& stream,
-                                               StreamFrameStats& stats) const {
-  const PositionEncoder& position_encoder = state.position;
-  const ColorEncoder& color_encoder = state.color;
-  EncodeScratch& scratch = stream.scratch;
-  scratch.begin_image(state, config_.dim);
-
-  EncodedImage encoded;
-  encoded.width = image.width();
-  encoded.height = image.height();
-  encoded.pixel_to_unique.resize(image.pixel_count());
-
-  const std::size_t width = image.width();
-  const std::size_t height = image.height();
-  const std::size_t channels = image.channels();
-  const std::size_t pixel_count = image.pixel_count();
-  const std::size_t tile_rows = stream.tile_rows;
-  const std::size_t tile_count = stream.tile_count;
-  const std::size_t shift = config_.color_quantization_shift;
-  stats.tiles_total = tile_count;
-
-  // --- Phase S1: per-band change detection + dirty-band dedup rebuild,
-  // band-parallel. A band is reused only when its byte hash matches AND
-  // an exact byte compare against the previous frame confirms it; on a
-  // miss the band's local dedup table (keys, weights, band-local pixel
-  // ids) is rebuilt exactly like cold phase 1a. ---
-  const double unique_ratio = scratch.last_unique_ratio;
-  std::vector<std::uint8_t> reused(tile_count, 0);
-  pool().parallel_for(
-      0, tile_count,
-      [&](std::size_t t) {
-        obs::SpanScope span("band_reuse_check", "stream", "band", t);
-        auto& band = stream.bands[t];
-        const std::size_t y_begin = t * tile_rows;
-        const std::size_t y_end = std::min(height, y_begin + tile_rows);
-        const std::size_t byte_begin = y_begin * width * channels;
-        const std::size_t byte_count = (y_end - y_begin) * width * channels;
-        const std::uint8_t* bytes = image.data() + byte_begin;
-        const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
-        if (band.valid && stream.has_prev && band.hash == hash &&
-            std::memcmp(bytes, stream.prev_frame.data() + byte_begin,
-                        byte_count) == 0) {
-          reused[t] = 1;
-          span.arg("reused", 1);
-          return;
-        }
-        span.arg("reused", 0);
-        band.hash = hash;
-        band.valid = false;  // until the HVs are rebuilt in phase S2
-        band.key_to_local.clear();
-        band.keys.clear();
-        band.refs.clear();
-        band.weights.clear();
-        band.local_ids.clear();
-        band.local_ids.reserve((y_end - y_begin) * width);
-        band.key_to_local.reserve(
-            expected_unique((y_end - y_begin) * width, unique_ratio));
-        for (std::size_t y = y_begin; y < y_end; ++y) {
-          for (std::size_t x = 0; x < width; ++x) {
-            std::array<std::uint8_t, 3> color{0, 0, 0};
-            for (std::size_t c = 0; c < channels; ++c) {
-              color[c] = quantize_midpoint(image(x, y, c), shift);
-            }
-            const std::uint64_t key =
-                make_key(position_encoder.row_block(y),
-                         position_encoder.col_block(x), color);
-            const auto [it, inserted] = band.key_to_local.try_emplace(
-                key, static_cast<std::uint32_t>(band.refs.size()));
-            if (inserted) {
-              band.keys.push_back(key);
-              band.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
-              band.weights.push_back(0);
-            }
-            ++band.weights[it->second];
-            band.local_ids.push_back(it->second);
-          }
-        }
-      },
-      /*grain=*/1);
-
-  // --- Phase S2: rebuild the dirty bands' HVs (cold pass 2a/2b, band
-  // scope): memoise position/color HVs serially through the shared
-  // caches, then bind band-local rows in parallel. Band-local HVs are
-  // pure functions of the dedup key, so a rebuilt band is bit-identical
-  // to what its cache held when the pixels last had these bytes. ---
-  std::uint64_t dirty_locals = 0;
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    if (reused[t] != 0) {
-      continue;
-    }
-    auto& band = stream.bands[t];
-    const std::size_t n_local = band.refs.size();
-    band.intensities.resize(n_local);
-    auto& position_of = scratch.position_of;
-    auto& color_of = scratch.color_of;
-    position_of.assign(n_local, nullptr);
-    color_of.assign(n_local, nullptr);
-    for (std::size_t u = 0; u < n_local; ++u) {
-      const auto& ref = band.refs[u];
-      const std::uint64_t position_key =
-          (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
-           << 20) |
-          position_encoder.col_block(ref.x);
-      auto pos_it = scratch.position_cache.find(position_key);
-      if (pos_it == scratch.position_cache.end()) {
-        pos_it = scratch.position_cache
-                     .emplace(position_key,
-                              position_encoder.encode(ref.y, ref.x))
-                     .first;
-      }
-      position_of[u] = &pos_it->second;
-      const std::uint32_t color_key =
-          (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-          (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-      auto color_it = scratch.color_cache.find(color_key);
-      if (color_it == scratch.color_cache.end()) {
-        color_it =
-            scratch.color_cache
-                .emplace(color_key,
-                         color_encoder.encode(std::span<const std::uint8_t>(
-                             ref.color.data(), channels)))
-                .first;
-      }
-      color_of[u] = &color_it->second;
-      band.intensities[u] =
-          channels == 1 ? ref.color[0]
-                        : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-    }
-    band.hvs = hdc::HvBlock(config_.dim, n_local);
-    pool().parallel_for(
-        0, n_local,
-        [&](std::size_t u) {
-          hdc::kernels::xor_words(band.hvs.row(u), position_of[u]->words(),
-                                  color_of[u]->words());
-        },
-        /*grain=*/64);
-    dirty_locals += n_local;
-    band.valid = true;
-  }
-  encoded.ops.bind_xor_bits += dirty_locals * config_.dim;
-
-  // --- Phase S3: fixed band-order merge, exactly cold phase 1b: a key's
-  // global ID is assigned at its first band, so unique IDs, weights, and
-  // intensities replicate the serial row-major scan bit for bit whether
-  // a band came from cache or rebuild. The merged unique HVs are row
-  // copies from the owning band's cache. ---
-  struct Origin {
-    std::uint32_t band;
-    std::uint32_t local;
-  };
-  std::vector<Origin> origin;
-  auto& key_to_unique = scratch.key_to_unique;
-  key_to_unique.reserve(expected_unique(pixel_count, unique_ratio));
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    auto& band = stream.bands[t];
-    band.remap.resize(band.keys.size());
-    for (std::size_t local = 0; local < band.keys.size(); ++local) {
-      const auto [it, inserted] = key_to_unique.try_emplace(
-          band.keys[local], static_cast<std::uint32_t>(origin.size()));
-      if (inserted) {
-        origin.push_back(Origin{static_cast<std::uint32_t>(t),
-                                static_cast<std::uint32_t>(local)});
-      }
-      band.remap[local] = it->second;
-    }
-  }
-  const std::size_t n_unique = origin.size();
-  encoded.weights.assign(n_unique, 0);
-  for (std::size_t t = 0; t < tile_count; ++t) {
-    const auto& band = stream.bands[t];
-    for (std::size_t local = 0; local < band.keys.size(); ++local) {
-      encoded.weights[band.remap[local]] += band.weights[local];
-    }
-  }
-  encoded.intensities.resize(n_unique);
-  encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
-  pool().parallel_for(
-      0, n_unique,
-      [&](std::size_t u) {
-        const auto& band = stream.bands[origin[u].band];
-        const auto src = band.hvs.row(origin[u].local);
-        const auto dst = encoded.unique_hvs.row(u);
-        std::copy(src.begin(), src.end(), dst.begin());
-        encoded.intensities[u] = band.intensities[origin[u].local];
-      },
-      /*grain=*/64);
-
-  // --- Phase S4: relabel band-local pixel ids to global IDs,
-  // band-parallel (cold phase 1c, sourced from the band caches). ---
-  pool().parallel_for(
-      0, tile_count,
-      [&](std::size_t t) {
-        const auto& band = stream.bands[t];
-        const std::size_t p_begin = t * tile_rows * width;
-        for (std::size_t i = 0; i < band.local_ids.size(); ++i) {
-          encoded.pixel_to_unique[p_begin + i] =
-              band.remap[band.local_ids[i]];
-        }
-      },
-      /*grain=*/1);
-
-  scratch.last_unique_ratio =
-      static_cast<double>(n_unique) / static_cast<double>(pixel_count);
-  std::size_t reused_count = 0;
-  for (const std::uint8_t r : reused) {
-    reused_count += r;
-  }
-  stats.tiles_reused = reused_count;
-  stats.tiles_encoded = tile_count - reused_count;
-  return encoded;
 }
 
 std::vector<SegmentationResult> SegHdcSession::segment_many(

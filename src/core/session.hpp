@@ -67,8 +67,7 @@ struct StreamFrameStats {
   /// True when the frame was byte-identical to its predecessor and the
   /// cached previous result was replayed without any pipeline work.
   bool replayed = false;
-  /// Row-band tiles in the stream cache layout (0 when the band cache
-  /// is inactive: dedup disabled or fault injection on).
+  /// Row-band tiles in the stream cache layout.
   std::size_t tiles_total = 0;
   /// Bands whose pixel bytes were unchanged — dedup table and encoded
   /// HVs reused from the previous frame.
@@ -229,15 +228,17 @@ class SegHdcSession {
   ///     previous result outright (bit-for-bit equal labels, zero
   ///     pipeline work).
   /// The FIRST frame of a stream (and the first after `reset()` or a
-  /// geometry change) runs the exact cold path: bit-identical to
-  /// `segment(frame)`. Deterministic: the same frame sequence produces
-  /// bit-identical labels at every pool size, tile size, and kernel
+  /// geometry change) scans every band like a cold encode:
+  /// bit-identical to `segment(frame)`, op counts included.
+  /// Deterministic: the same frame sequence produces bit-identical
+  /// labels at every pool size, tile size, and kernel
   /// backend (band caches change what is recomputed, never what is
   /// computed). Thread-safe across *streams* (const session state is
   /// internally synchronised); calls on one Stream must be externally
-  /// ordered. Falls back to full re-encode per frame (no band cache,
-  /// tiles_total = 0) when deduplication is off or fault injection is
-  /// on; replay and warm seeding still apply.
+  /// ordered. Every config streams on the band cache: with dedup off a
+  /// band caches one row per pixel, and fault injection runs over the
+  /// merged rows after the caches are refreshed, so reuse never changes
+  /// the injected faults.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
 
@@ -258,9 +259,14 @@ class SegHdcSession {
   /// builds resolve to one winner).
   const EncoderState& state_for(const img::ImageU8& image) const;
 
+  /// The one encode. Cold images (stream == nullptr) scan every row
+  /// band, tiled per tile_rows_for; a stream's frames use its pinned
+  /// band layout, reuse the bands whose bytes are unchanged since the
+  /// previous frame, and refresh the caches of the rest. Output is
+  /// bit-identical either way; op counts reflect the work actually done.
   EncodedImage encode_impl(const img::ImageU8& image,
-                           const EncoderState& state,
-                           EncodeScratch& scratch) const;
+                           const EncoderState& state, EncodeScratch& scratch,
+                           const StreamState* stream = nullptr) const;
   SegmentationResult segment_impl(const img::ImageU8& image,
                                   EncodeScratch& scratch) const;
   /// Finalize-stage knobs for the stream path. Defaults reproduce the
@@ -285,15 +291,6 @@ class SegHdcSession {
   SegmentationResult finalize_impl(EncodedImage encoded) const;
   SegmentationResult finalize_impl(EncodedImage encoded,
                                    const FinalizeOptions& options) const;
-
-  /// Stream-banded encode: like `encode_impl` but rides the per-band
-  /// caches in `stream`, re-encoding only bands whose bytes changed.
-  /// Output is bit-identical to `encode_impl` (op counts reflect work
-  /// actually done). Fills the tile fields of `stats`.
-  EncodedImage encode_stream_impl(const img::ImageU8& image,
-                                  const EncoderState& state,
-                                  StreamState& stream,
-                                  StreamFrameStats& stats) const;
 
   /// Band height used to tile this image's encode passes (>= 1).
   std::size_t tile_rows_for(std::size_t height) const;

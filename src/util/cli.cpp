@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <string_view>
 
 namespace seghdc::util {
 
@@ -15,11 +14,8 @@ std::string lower(std::string s) {
   return s;
 }
 
-enum class Digits { kOk, kMalformed, kOverflow };
+}  // namespace
 
-/// Parses a non-empty run of decimal digits into `value`, stopping at
-/// the first non-digit (kMalformed) or the first digit that would
-/// overflow size_t (kOverflow).
 Digits parse_digits(std::string_view token, std::size_t& value) {
   constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   if (token.empty()) {
@@ -38,8 +34,6 @@ Digits parse_digits(std::string_view token, std::size_t& value) {
   }
   return Digits::kOk;
 }
-
-}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) {

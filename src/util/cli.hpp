@@ -7,9 +7,19 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seghdc::util {
+
+enum class Digits { kOk, kMalformed, kOverflow };
+
+/// Parses a non-empty run of decimal digits into `value`, stopping at
+/// the first non-digit (kMalformed: signs and whitespace included) or
+/// the first digit that would overflow size_t (kOverflow); `value` is
+/// meaningful only on kOk. The one digit grammar behind the size lists,
+/// `WxH` specs and the SEGHDC_TILE_ROWS override.
+Digits parse_digits(std::string_view token, std::size_t& value);
 
 /// Parsed command line. Unknown options are collected rather than rejected
 /// so a caller can forward them; call `reject_unknown()` to enforce strict

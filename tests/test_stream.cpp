@@ -96,6 +96,15 @@ void expect_results_identical(const core::SegmentationResult& expected,
   EXPECT_EQ(actual.cluster_pixel_counts, expected.cluster_pixel_counts);
 }
 
+void expect_ops_equal(const core::OpCounts& expected,
+                      const core::OpCounts& actual) {
+  EXPECT_EQ(actual.bind_xor_bits, expected.bind_xor_bits);
+  EXPECT_EQ(actual.popcount_bits, expected.popcount_bits);
+  EXPECT_EQ(actual.dot_adds, expected.dot_adds);
+  EXPECT_EQ(actual.centroid_update_adds, expected.centroid_update_adds);
+  EXPECT_EQ(actual.distance_evals, expected.distance_evals);
+}
+
 /// Permutation-invariant label agreement: warm and cold runs may assign
 /// cluster indices in different orders, so score the best relabeling
 /// (clusters <= 4 keeps the brute force trivial).
@@ -128,6 +137,11 @@ TEST(Stream, FirstFrameIsExactlyTheColdPath) {
   const auto warm = session.segment_stream(frame, stream);
   expect_results_identical(cold, warm.result);
   EXPECT_EQ(warm.result.iterations_run, cold.iterations_run);
+  // The same work, not just the same labels: each unique point is bound
+  // once, whichever band first saw it.
+  expect_ops_equal(cold.ops, warm.result.ops);
+  expect_ops_equal(cold.paper_equivalent_ops,
+                   warm.result.paper_equivalent_ops);
   EXPECT_FALSE(warm.stats.warm);
   EXPECT_FALSE(warm.stats.replayed);
   EXPECT_EQ(warm.stats.frame_index, 0u);
@@ -241,39 +255,6 @@ TEST(Stream, GeometryChangeRunsColdThenResumesWarm) {
   expect_results_identical(switched.result, replay.result);
 }
 
-TEST(Stream, FallbackConfigsStillStreamCorrectly) {
-  // Dedup off and fault injection on are incompatible with the band
-  // cache (tiles_total = 0) but replay and warm seeding still apply.
-  for (const bool faulty : {false, true}) {
-    auto config = stream_config();
-    if (faulty) {
-      config.bit_error_rate = 0.01;
-    } else {
-      config.deduplicate = false;
-    }
-    SCOPED_TRACE(faulty ? "bit_error_rate=0.01" : "deduplicate=false");
-    const core::SegHdcSession session(config);
-    const auto frame = scene_with_square(32, 30, 8, 20);
-
-    core::SegHdcSession::Stream stream;
-    const auto first = session.segment_stream(frame, stream);
-    EXPECT_EQ(first.stats.tiles_total, 0u);
-    expect_results_identical(session.segment(frame), first.result);
-
-    const auto replay = session.segment_stream(frame, stream);
-    EXPECT_TRUE(replay.stats.replayed);
-    expect_results_identical(first.result, replay.result);
-
-    const auto moved = scene_with_square(32, 30, 9, 20);
-    const auto warm = session.segment_stream(moved, stream);
-    EXPECT_TRUE(warm.stats.warm);
-    EXPECT_EQ(warm.stats.tiles_total, 0u);
-    EXPECT_GE(label_agreement(session.segment(moved).labels,
-                              warm.result.labels, config.clusters),
-              0.95);
-  }
-}
-
 // --- Golden stream hash: the warm-start path has its OWN pinned
 // labels, separate from the cold batch hash — stream results must be
 // bit-identical at every pool size, tile size, and kernel backend. ---
@@ -283,9 +264,8 @@ TEST(Stream, FallbackConfigsStillStreamCorrectly) {
 /// broke (pool size, tiling, backend, or warm-seeding changed results).
 constexpr std::uint64_t kGoldenStreamHash = 6522647722573592175ULL;
 
-std::uint64_t golden_stream_hash(std::size_t threads,
-                                 std::size_t tile_rows) {
-  auto config = stream_config();
+std::uint64_t golden_stream_hash(std::size_t threads, std::size_t tile_rows,
+                                 core::SegHdcConfig config = stream_config()) {
   config.tile_rows = tile_rows;
   util::ThreadPool pool(threads);
   const core::SegHdcSession session(config,
@@ -311,6 +291,58 @@ TEST(Stream, GoldenStreamHashStableAcrossTilesPoolsAndBackends) {
         EXPECT_EQ(golden_stream_hash(threads, tile_rows), kGoldenStreamHash)
             << "stream hash drifted: backend=" << backend->name
             << " threads=" << threads << " tile_rows=" << tile_rows;
+      }
+    }
+  }
+}
+
+TEST(Stream, DedupOffAndFaultStreamsReuseBands) {
+  // Dedup off (key = pixel index) and fault injection (a post-pass over
+  // the merged rows, after the band caches are refreshed) stream on the
+  // same band cache as the default config. Each config's golden
+  // sequence keeps the hash of a full re-encode per frame; at a 0.3 bit
+  // error rate the labels differ from the fault-free golden, so a fault
+  // pass that skipped or reordered reused rows would move the hash.
+  struct Case {
+    const char* name;
+    bool deduplicate;
+    double bit_error_rate;
+    std::uint64_t golden_hash;
+  };
+  for (const Case& c : {Case{"deduplicate=false", false, 0.0,
+                             kGoldenStreamHash},
+                        Case{"bit_error_rate=0.3", true, 0.3,
+                             871256062018002446ULL}}) {
+    SCOPED_TRACE(c.name);
+    auto config = stream_config();
+    config.deduplicate = c.deduplicate;
+    config.bit_error_rate = c.bit_error_rate;
+    const core::SegHdcSession session(config);
+    const auto frame = scene_with_square(32, 30, 8, 20);
+
+    core::SegHdcSession::Stream stream;
+    const auto first = session.segment_stream(frame, stream);
+    EXPECT_GT(first.stats.tiles_total, 0u);
+    expect_results_identical(session.segment(frame), first.result);
+
+    const auto replay = session.segment_stream(frame, stream);
+    EXPECT_TRUE(replay.stats.replayed);
+    expect_results_identical(first.result, replay.result);
+
+    const auto moved = scene_with_square(32, 30, 9, 20);
+    const auto warm = session.segment_stream(moved, stream);
+    EXPECT_TRUE(warm.stats.warm);
+    EXPECT_GT(warm.stats.tiles_total, 0u);
+    EXPECT_GT(warm.stats.tiles_reused, 0u);
+    EXPECT_GE(label_agreement(session.segment(moved).labels,
+                              warm.result.labels, config.clusters),
+              0.95);
+
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = auto
+        EXPECT_EQ(golden_stream_hash(threads, tile_rows, config),
+                  c.golden_hash)
+            << "threads=" << threads << " tile_rows=" << tile_rows;
       }
     }
   }

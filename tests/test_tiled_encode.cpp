@@ -194,6 +194,15 @@ TEST(TiledEncode, TileRowsResolutionOrder) {
   EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
   ::setenv("SEGHDC_TILE_ROWS", "+2", 1);  // sign also rejected
   EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
+  ::setenv("SEGHDC_TILE_ROWS", "99999999999999999999999", 1);  // overflow
+  try {
+    core::SegHdcSession session(config);
+    ADD_FAILURE() << "an overflowing SEGHDC_TILE_ROWS was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "SEGHDC_TILE_ROWS must be a non-negative integer, got "
+                 "'99999999999999999999999'");
+  }
   config.tile_rows = 7;  // explicit config short-circuits the bad env
   EXPECT_EQ(core::SegHdcSession(config).tile_rows_override(), 7u);
 
