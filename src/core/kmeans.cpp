@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -15,6 +16,124 @@
 #include "src/util/parallel.hpp"
 
 namespace seghdc::core {
+
+namespace {
+
+/// Assignment work of a block of points. Each block tallies privately
+/// and folds into the run's total once; integer sums commute, so the
+/// totals are identical at every pool size.
+struct AssignTally {
+  std::uint64_t changed = 0;       ///< points whose cluster changed
+  std::uint64_t evals = 0;         ///< distance_evals
+  std::uint64_t kernel_evals = 0;  ///< evals whose full dot/scan ran
+  std::uint64_t pruned = 0;        ///< candidates_pruned
+  std::uint64_t words = 0;         ///< words_scanned
+
+  AssignTally& operator+=(const AssignTally& other) {
+    changed += other.changed;
+    evals += other.evals;
+    kernel_evals += other.kernel_evals;
+    pruned += other.pruned;
+    words += other.words;
+    return *this;
+  }
+};
+
+/// Runs body(i, tally) for every point in [0, n) on `pool`, in blocks of
+/// 64 points, and returns the summed tallies.
+template <typename Body>
+AssignTally for_each_point(util::ThreadPool& pool, std::size_t n,
+                           const Body& body) {
+  constexpr std::size_t kBlock = 64;
+  AssignTally total;
+  std::mutex mutex;
+  pool.parallel_for(0, (n + kBlock - 1) / kBlock, [&](std::size_t block) {
+    AssignTally local;
+    const std::size_t end = std::min(n, (block + 1) * kBlock);
+    for (std::size_t i = block * kBlock; i < end; ++i) {
+      body(i, local);
+    }
+    const std::lock_guard<std::mutex> lock(mutex);
+    total += local;
+  });
+  return total;
+}
+
+// --- Exact triangle-inequality bounds for the cosine assignment (Elkan,
+// ICML 2003), in chord units: for unit directions x^ and c^,
+// |x^ - c^| = sqrt(2 * cosine distance), a metric, so the triangle
+// inequality moves every bound by at most its centroid's drift
+// |c^_old - c^_new| between two snapshots.
+//
+// Error budget (u = 2^-53). The shared cosine expression
+// 1 - dot / (|x| |c|) takes an exact integer dot and norms that are
+// correctly rounded square roots of exact integers, so
+// q = dot / (|x| |c|), a real number in [0, 1], carries <= 6u relative
+// error and the computed distance is within 7u ~ 7.8e-16 of the real
+// one. |sqrt(2a) - sqrt(2b)| <= sqrt(2 |a - b|), so a chord taken from a
+// computed distance is within sqrt(1.6e-15) ~ 4e-8 of the real chord
+// (the worst case is near zero distance), which kChordSlack covers. The
+// drift is computed from the exact integer dot D and sums of squares
+// S1, S2 of the two count vectors as
+// 1 - cos = (S1 S2 - D^2) / (sqrt(S1 S2) (sqrt(S1 S2) + D)): the
+// numerator is an exact 128-bit integer, so nothing cancels and the
+// chord carries <= 6u relative error (<= 1.4e-15 absolute for a chord
+// <= 2). kDriftSlack covers that plus the rounding of the bound updates
+// u += drift and l -= drift (<= 3.6e-15 each while the bounds stay below
+// 32 in magnitude, which a few dozen drifts <= 2 cannot exceed). Every
+// bound is therefore a true real-number bound.
+//
+// A point keeps its cluster a without a distance only when every other
+// centroid's lower bound exceeds its upper bound by kChordMargin. The
+// real chords then differ by more than m = 1e-6 (less the ~4e-16
+// rounding of the test itself), so the real distances differ by more
+// than (chord_c^2 - chord_a^2) / 2 > m^2 / 2 = 5e-13, and the computed
+// ones, each within 7.8e-16 of the real value, keep the strict order:
+// the exhaustive argmin picks a, whatever its lowest-index tie rule.
+// Exact ties and near-ties never pass the test, so they are always
+// evaluated. The same test drops single candidates from a partial scan.
+// ---
+constexpr double kChordSlack = 1e-7;
+constexpr double kChordMargin = 1e-6;
+constexpr double kDriftSlack = 1e-12;
+/// distance_to_own marker for a point skipped this iteration (every
+/// computed cosine distance is >= -1e-15).
+constexpr double kStaleDistance = -1.0;
+
+double chord_of(double cosine_distance) {
+  return std::sqrt(2.0 * std::max(cosine_distance, 0.0));
+}
+
+/// Over-estimate of |c^_before - c^_after| for two non-negative count
+/// vectors with nonzero norms (see the error budget above); exactly 0
+/// when the directions coincide.
+double chord_drift(std::span<const std::int64_t> before,
+                   std::span<const std::int64_t> after) {
+  // Non-negative counts keep every partial sum below the full sums of
+  // squares, which the accumulators hold in int64 (|D| <= max(S1, S2)).
+  std::int64_t dot = 0;
+  std::int64_t s1 = 0;
+  std::int64_t s2 = 0;
+  for (std::size_t j = 0; j < before.size(); ++j) {
+    dot += before[j] * after[j];
+    s1 += before[j] * before[j];
+    s2 += after[j] * after[j];
+  }
+  __extension__ using u128 = unsigned __int128;
+  // Exact and >= 0 by Cauchy-Schwarz.
+  const u128 gap = static_cast<u128>(s1) * static_cast<u128>(s2) -
+                   static_cast<u128>(dot) * static_cast<u128>(dot);
+  if (gap == 0) {
+    return 0.0;
+  }
+  const double root =
+      std::sqrt(static_cast<double>(s1) * static_cast<double>(s2));
+  const double one_minus_cos =
+      static_cast<double>(gap) / (root * (root + static_cast<double>(dot)));
+  return std::sqrt(2.0 * one_minus_cos) + kDriftSlack;
+}
+
+}  // namespace
 
 HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
   util::expects(config_.clusters >= 2 && config_.clusters <= 4096,
@@ -139,16 +258,17 @@ HvKMeansResult HvKMeans::run_impl(
       },
       /*grain=*/256);
   result.ops.popcount_bits += static_cast<std::uint64_t>(n) * dim;
-  std::size_t zero_pop_points = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    zero_pop_points += point_pop[i] == 0 ? 1 : 0;
-  }
 
   const bool pruned_assign =
       resolved_assign_mode_ == AssignMode::kPruned ||
       (resolved_assign_mode_ == AssignMode::kAuto &&
        k >= config_.prune_min_clusters);
   result.pruned_assignment = pruned_assign;
+  // kAuto below the pruning threshold puts the exact chord-bound filter
+  // in front of the exhaustive cosine scan.
+  const bool bounded_assign = resolved_assign_mode_ == AssignMode::kAuto &&
+                              !pruned_assign &&
+                              config_.distance == ClusterDistance::kCosine;
   // One backend resolve for the whole run; every distance scan below
   // goes through this vtable reference instead of re-dispatching per
   // (point, centroid) pair.
@@ -203,8 +323,25 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<double> centroid_norm(k);
   std::vector<std::span<const std::uint64_t>> binary_centroid_rows(k);
 
+  // Bound-filter state, allocated only when it runs: per point an upper
+  // bound on the chord to its own centroid followed by a lower bound per
+  // centroid (k + 1 doubles), and the previous snapshot's counts, which
+  // the per-centroid drift is measured against. `bounds_valid` says the
+  // bounds are true bounds for the previous snapshot: false at iteration
+  // 0, after a reseed (which moves a point without its bounds), and after
+  // a snapshot with a zero-norm centroid (whose 1.0 shortcut is no chord).
+  const std::size_t bound_stride = k + 1;
+  std::vector<double> bounds(bounded_assign ? n * bound_stride : 0);
+  std::vector<std::vector<std::int64_t>> previous_counts(
+      bounded_assign ? k : 0, std::vector<std::int64_t>(dim));
+  std::vector<double> drift(bounded_assign ? k : 0);
+  bool bounds_valid = false;
+
   for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
     obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
+    // Points may skip this iteration's distances only if the bounds are
+    // valid and every centroid has a direction to drift along.
+    bool skip_allowed = false;
     {
       const obs::SpanScope snapshot_span("centroid_snapshot", "core");
       if (config_.distance == ClusterDistance::kHamming) {
@@ -223,87 +360,149 @@ HvKMeansResult HvKMeans::run_impl(
       for (std::size_t c = 0; c < k; ++c) {
         centroid_norm[c] = result.centroids[c].norm();
       }
+      if (bounded_assign) {
+        const bool directed = std::ranges::none_of(
+            centroid_norm, [](double norm) { return norm == 0.0; });
+        skip_allowed = bounds_valid && directed;
+        for (std::size_t c = 0; c < k; ++c) {
+          const auto counts = result.centroids[c].counts();
+          if (skip_allowed) {
+            drift[c] = chord_drift(previous_counts[c], counts);
+          }
+          std::ranges::copy(counts, previous_counts[c].begin());
+        }
+        bounds_valid = directed;
+      }
     }
+    // The cosine distance of one (point, centroid) pair: the zero-norm
+    // shortcut of cosine_distance_planes, else the shared float
+    // expression over the plane dot, with the backend hoisted.
+    const auto cosine_to = [&](std::size_t c,
+                               std::span<const std::uint64_t> point,
+                               double pn, AssignTally& t) {
+      ++t.evals;
+      const double cn = centroid_norm[c];
+      if (cn == 0.0 || pn == 0.0) {
+        return 1.0;
+      }
+      ++t.kernel_evals;
+      t.words += centroid_planes[c].plane_count() * wph;
+      return hdc::kernels::cosine_distance_from_dot(
+          hdc::kernels::dot_planes(centroid_planes[c], point, backend), cn,
+          pn);
+    };
     // --- Assignment step (data parallel over block rows; fused
     // word-span kernels, no per-point HyperVector temporaries). The
     // distance-mode and assign-mode branches are hoisted out of the
-    // inner loops: each iteration selects one of four loop bodies
-    // (exhaustive/pruned x Hamming/cosine) up front. All four produce
-    // bit-identical assignments — the pruned bodies only skip
-    // candidates they can PROVE lose the argmin, index tie-break
-    // included. ---
-    std::atomic<std::uint64_t> changed{0};
+    // inner loops: each iteration selects one of five loop bodies
+    // (exhaustive/pruned x Hamming/cosine, and the bound-filtered
+    // cosine) up front. All five produce bit-identical assignments — the
+    // pruned and bounded bodies only skip candidates they can PROVE lose
+    // the argmin, index tie-break included. Every body counts the
+    // kernels it actually ran. ---
+    AssignTally tally;
     {
-      // Measured assignment work, accumulated per point and folded with
-      // relaxed atomic adds — integer sums commute, so the totals are
-      // identical at every pool size.
-      std::atomic<std::uint64_t> evals_total{0};
-      std::atomic<std::uint64_t> kernel_evals_total{0};
-      std::atomic<std::uint64_t> pruned_total{0};
-      std::atomic<std::uint64_t> words_total{0};
       obs::SpanScope assign_span("kmeans_assign", "core", "iter", iter);
       const auto commit = [&](std::size_t i, std::uint32_t best_cluster,
-                              double best) {
+                              double best, AssignTally& t) {
         if (result.assignment[i] != best_cluster) {
-          changed.fetch_add(1, std::memory_order_relaxed);
+          ++t.changed;
           result.assignment[i] = best_cluster;
         }
         distance_to_own[i] = best;
       };
       if (!pruned_assign && config_.distance == ClusterDistance::kHamming) {
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              std::size_t best = std::numeric_limits<std::size_t>::max();
-              std::uint32_t best_cluster = 0;
-              for (std::size_t c = 0; c < k; ++c) {
-                const std::size_t dist =
-                    backend.hamming(binary_centroid_rows[c], point);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
-              }
-              commit(i, best_cluster, static_cast<double>(best));
-            },
-            /*grain=*/64);
-        result.ops.words_scanned += static_cast<std::uint64_t>(n) * k * wph;
-      } else if (!pruned_assign) {
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
-              const auto point = points.row(i);
-              const double pn = point_norm[i];
-              double best = std::numeric_limits<double>::infinity();
-              std::uint32_t best_cluster = 0;
-              for (std::size_t c = 0; c < k; ++c) {
-                const double cn = centroid_norm[c];
-                // Same shortcut and float expression as
-                // cosine_distance_planes, with the backend hoisted.
-                const double dist =
-                    cn == 0.0 || pn == 0.0
-                        ? 1.0
-                        : hdc::kernels::cosine_distance_from_dot(
-                              hdc::kernels::dot_planes(centroid_planes[c],
-                                                       point, backend),
-                              cn, pn);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
-              }
-              commit(i, best_cluster, best);
-            },
-            /*grain=*/64);
-        std::uint64_t words_per_point = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          if (centroid_norm[c] != 0.0) {
-            words_per_point += centroid_planes[c].plane_count() * wph;
+        tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
+          const auto point = points.row(i);
+          std::size_t best = std::numeric_limits<std::size_t>::max();
+          std::uint32_t best_cluster = 0;
+          for (std::size_t c = 0; c < k; ++c) {
+            const std::size_t dist =
+                backend.hamming(binary_centroid_rows[c], point);
+            if (dist < best) {
+              best = dist;
+              best_cluster = static_cast<std::uint32_t>(c);
+            }
           }
-        }
-        result.ops.words_scanned +=
-            static_cast<std::uint64_t>(n - zero_pop_points) * words_per_point;
+          t.evals += k;
+          t.kernel_evals += k;
+          t.words += k * wph;
+          commit(i, best_cluster, static_cast<double>(best), t);
+        });
+      } else if (bounded_assign) {
+        tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
+          const auto point = points.row(i);
+          const double pn = point_norm[i];
+          double& upper = bounds[i * bound_stride];
+          double* const lower = &upper + 1;
+          const std::uint32_t own = result.assignment[i];
+          const bool filter = skip_allowed && pn != 0.0;
+          // Candidate c cannot beat the own centroid (see the error
+          // budget at the top of this file).
+          const auto beaten = [&](std::size_t c) {
+            return upper + kChordMargin < lower[c];
+          };
+          const auto all_beaten = [&] {
+            for (std::size_t c = 0; c < k; ++c) {
+              if (c != own && !beaten(c)) {
+                return false;
+              }
+            }
+            return true;
+          };
+          double own_distance = 0.0;
+          if (filter) {
+            upper += drift[own];
+            for (std::size_t c = 0; c < k; ++c) {
+              lower[c] -= drift[c];
+            }
+            if (all_beaten()) {
+              // Nearest centroid unchanged, nothing computed: the
+              // reseed refreshes the stale distance if it needs it.
+              t.pruned += k;
+              distance_to_own[i] = kStaleDistance;
+              return;
+            }
+            own_distance = cosine_to(own, point, pn, t);
+            upper = chord_of(own_distance) + kChordSlack;
+          }
+          // The exhaustive scan (index order, strict <) over the
+          // candidates the bounds leave open, own distance reused.
+          double best = std::numeric_limits<double>::infinity();
+          std::uint32_t best_cluster = 0;
+          for (std::size_t c = 0; c < k; ++c) {
+            double dist = own_distance;
+            if (!filter || c != own) {
+              if (filter && beaten(c)) {
+                ++t.pruned;
+                continue;
+              }
+              dist = cosine_to(c, point, pn, t);
+            }
+            lower[c] = chord_of(dist) - kChordSlack;
+            if (dist < best) {
+              best = dist;
+              best_cluster = static_cast<std::uint32_t>(c);
+            }
+          }
+          upper = chord_of(best) + kChordSlack;
+          commit(i, best_cluster, best, t);
+        });
+      } else if (!pruned_assign) {
+        tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
+          const auto point = points.row(i);
+          const double pn = point_norm[i];
+          double best = std::numeric_limits<double>::infinity();
+          std::uint32_t best_cluster = 0;
+          for (std::size_t c = 0; c < k; ++c) {
+            const double dist = cosine_to(c, point, pn, t);
+            if (dist < best) {
+              best = dist;
+              best_cluster = static_cast<std::uint32_t>(c);
+            }
+          }
+          commit(i, best_cluster, best, t);
+        });
       } else if (config_.distance == ClusterDistance::kHamming) {
         // Candidate table: centroid indices sorted by (popcount, index).
         // |popcount(x) - popcount(c)| <= hamming(x, c), so scanning
@@ -317,18 +516,15 @@ HvKMeansResult HvKMeans::run_impl(
                             static_cast<std::uint32_t>(c)};
         }
         std::sort(sorted_pops.begin(), sorted_pops.end());
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
+        tally = for_each_point(
+            pool, n,
+            [&](std::size_t i, AssignTally& t) {
               const auto point = points.row(i);
               const std::size_t px = point_pop[i];
               constexpr std::size_t kUnset =
                   std::numeric_limits<std::size_t>::max();
               std::size_t best = kUnset;
               std::uint32_t best_cluster = 0;
-              std::uint64_t evals = 0;
-              std::uint64_t pruned = 0;
-              std::uint64_t words = 0;
               const auto gap_of = [&](std::size_t pc) {
                 return pc > px ? pc - px : px - pc;
               };
@@ -355,7 +551,7 @@ HvKMeansResult HvKMeans::run_impl(
                   if (gap > best) {
                     // Everything further out on this side is strictly
                     // worse than best: drop the side wholesale.
-                    pruned += take_left ? l : k - r;
+                    t.pruned += take_left ? l : k - r;
                     if (take_left) {
                       l = 0;
                     } else {
@@ -368,7 +564,7 @@ HvKMeansResult HvKMeans::run_impl(
                     // only matter for a lower index: cannot win. The
                     // side stays open — a lower index may still follow
                     // at the same gap.
-                    ++pruned;
+                    ++t.pruned;
                     if (take_left) {
                       --l;
                     } else {
@@ -385,18 +581,19 @@ HvKMeansResult HvKMeans::run_impl(
                                    : (c < best_cluster ? best + 1 : best);
                 const auto scan = backend.hamming_bounded(
                     binary_centroid_rows[c], point, bound);
-                words += scan.words_scanned;
+                t.words += scan.words_scanned;
                 if (scan.value < bound) {
                   // One-sided contract: value < bound means the scan
                   // completed and value is the exact distance.
-                  ++evals;
+                  ++t.evals;
+                  ++t.kernel_evals;
                   if (best == kUnset || scan.value < best ||
                       (scan.value == best && c < best_cluster)) {
                     best = scan.value;
                     best_cluster = c;
                   }
                 } else {
-                  ++pruned;
+                  ++t.pruned;
                 }
                 if (take_left) {
                   --l;
@@ -404,13 +601,8 @@ HvKMeansResult HvKMeans::run_impl(
                   ++r;
                 }
               }
-              evals_total.fetch_add(evals, std::memory_order_relaxed);
-              kernel_evals_total.fetch_add(evals, std::memory_order_relaxed);
-              pruned_total.fetch_add(pruned, std::memory_order_relaxed);
-              words_total.fetch_add(words, std::memory_order_relaxed);
-              commit(i, best_cluster, static_cast<double>(best));
-            },
-            /*grain=*/64);
+              commit(i, best_cluster, static_cast<double>(best), t);
+            });
       } else {
         // Per-centroid dot upper bounds for the cheap skip: dot(x, c)
         // <= min(sum of c's counts, (2^planes_c - 1) * popcount(x)).
@@ -424,18 +616,14 @@ HvKMeansResult HvKMeans::run_impl(
           }
           centroid_count_sum[c] = sum;
         }
-        pool.parallel_for(
-            0, n,
-            [&](std::size_t i) {
+        tally = for_each_point(
+            pool, n,
+            [&](std::size_t i, AssignTally& t) {
               const auto point = points.row(i);
               const double pn = point_norm[i];
               const auto px = static_cast<std::int64_t>(point_pop[i]);
               double best = std::numeric_limits<double>::infinity();
               std::uint32_t best_cluster = 0;
-              std::uint64_t evals = 0;
-              std::uint64_t kernel_evals = 0;
-              std::uint64_t pruned = 0;
-              std::uint64_t words = 0;
               // Index order, strict < updates: identical tie semantics
               // to the exhaustive loop by construction — every skip
               // below only drops candidates whose distance provably
@@ -444,7 +632,7 @@ HvKMeansResult HvKMeans::run_impl(
                 const double cn = centroid_norm[c];
                 if (cn == 0.0 || pn == 0.0) {
                   // Zero-norm shortcut, exactly cosine_distance_planes'.
-                  ++evals;
+                  ++t.evals;
                   if (1.0 < best) {
                     best = 1.0;
                     best_cluster = static_cast<std::uint32_t>(c);
@@ -468,7 +656,7 @@ HvKMeansResult HvKMeans::run_impl(
                   }
                   if (hdc::kernels::cosine_distance_from_dot(upper, cn,
                                                              pn) >= best) {
-                    ++pruned;
+                    ++t.pruned;
                     continue;
                   }
                 }
@@ -498,15 +686,15 @@ HvKMeansResult HvKMeans::run_impl(
                 const auto scan = hdc::kernels::dot_planes_bounded(
                     centroid_planes[c], point,
                     static_cast<std::size_t>(px), max_useful, backend);
-                words += scan.words_scanned;
+                t.words += scan.words_scanned;
                 if (scan.pruned) {
                   // True dot <= max_useful, so its distance >= best:
                   // the exhaustive loop would not have updated either.
-                  ++pruned;
+                  ++t.pruned;
                   continue;
                 }
-                ++evals;
-                ++kernel_evals;
+                ++t.evals;
+                ++t.kernel_evals;
                 const double dist = hdc::kernels::cosine_distance_from_dot(
                     scan.dot, cn, pn);
                 if (dist < best) {
@@ -514,36 +702,17 @@ HvKMeansResult HvKMeans::run_impl(
                   best_cluster = static_cast<std::uint32_t>(c);
                 }
               }
-              evals_total.fetch_add(evals, std::memory_order_relaxed);
-              kernel_evals_total.fetch_add(kernel_evals,
-                                           std::memory_order_relaxed);
-              pruned_total.fetch_add(pruned, std::memory_order_relaxed);
-              words_total.fetch_add(words, std::memory_order_relaxed);
-              commit(i, best_cluster, best);
-            },
-            /*grain=*/64);
+              commit(i, best_cluster, best, t);
+            });
       }
-      const std::uint64_t pairs = static_cast<std::uint64_t>(n) * k;
-      if (pruned_assign) {
-        const std::uint64_t evals = evals_total.load();
-        const std::uint64_t pruned = pruned_total.load();
-        result.ops.distance_evals += evals;
-        result.ops.candidates_pruned += pruned;
-        result.ops.dot_adds += kernel_evals_total.load() * dim;
-        result.ops.words_scanned += words_total.load();
-        assign_span.arg("evaluated", evals);
-        assign_span.arg("pruned", pruned);
-        assign_span.arg("pruned_pct", pairs != 0 ? pruned * 100 / pairs : 0);
-      } else {
-        // Exhaustive accounting keeps the classic assumed totals (and
-        // words_scanned measured above): every pair is an eval of dim
-        // dot adds.
-        result.ops.dot_adds += pairs * dim;
-        result.ops.distance_evals += pairs;
-        assign_span.arg("evaluated", pairs);
-        assign_span.arg("pruned", 0);
-        assign_span.arg("pruned_pct", 0);
-      }
+      result.ops.distance_evals += tally.evals;
+      result.ops.candidates_pruned += tally.pruned;
+      result.ops.dot_adds += tally.kernel_evals * dim;
+      result.ops.words_scanned += tally.words;
+      assign_span.arg("evaluated", tally.evals);
+      assign_span.arg("pruned", tally.pruned);
+      assign_span.arg("pruned_pct", tally.pruned * 100 /
+                                        (static_cast<std::uint64_t>(n) * k));
     }
 
     // --- Update step: move only the points whose assignment differs
@@ -598,6 +767,21 @@ HvKMeansResult HvKMeans::run_impl(
     // --- Empty-cluster repair: reseed with the point farthest from its
     // own centroid (deterministic: highest distance, lowest index). ---
     const std::size_t reseeds_before = result.reseeds;
+    if (bounded_assign &&
+        std::ranges::find(result.cluster_weights, std::uint64_t{0}) !=
+            result.cluster_weights.end()) {
+      // The farthest-point pick reads exact distances: recompute the
+      // ones the bound filter skipped, against this iteration's snapshot.
+      const AssignTally refreshed =
+          for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
+            if (distance_to_own[i] == kStaleDistance) {
+              distance_to_own[i] = cosine_to(result.assignment[i],
+                                             points.row(i), point_norm[i], t);
+            }
+          });
+      result.ops.dot_adds += refreshed.kernel_evals * dim;
+      result.ops.words_scanned += refreshed.words;
+    }
     for (std::size_t c = 0; c < k; ++c) {
       if (result.cluster_weights[c] != 0) {
         continue;
@@ -623,12 +807,15 @@ HvKMeansResult HvKMeans::run_impl(
       result.cluster_weights[old_cluster] -= weight_of(farthest);
       ++result.reseeds;
     }
+    if (result.reseeds != reseeds_before) {
+      bounds_valid = false;
+    }
     result.iterations_run = iter + 1;
 
     // Convergence: iteration 0 always "changes" every point relative to
     // the zero-initialised assignment, so only later iterations count;
     // a reseed also perturbs the state and voids the fixed point.
-    if (config_.stop_on_convergence && iter > 0 && changed.load() == 0 &&
+    if (config_.stop_on_convergence && iter > 0 && tally.changed == 0 &&
         result.reseeds == reseeds_before) {
       result.converged = true;
       break;

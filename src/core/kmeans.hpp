@@ -20,13 +20,21 @@
 // changed (Accumulator::sub, exact integer arithmetic), in parallel per
 // chunk, then merges the banks in fixed order — integer sums are
 // order-independent, so the centroids equal a from-scratch re-sum and
-// are bit-identical for every thread count; (4) at large
-// cluster counts the assignment prunes candidates it can prove are not
-// the nearest (per-centroid norm bounds, plus early-exit bounded
-// kernels that abort a scan once the running distance loses to the
-// best so far) — EXACT pruning only, ties still broken by the lowest
-// index, so the pruned path is bit-identical to the exhaustive one and
-// rides the same golden hashes (see AssignMode).
+// are bit-identical for every thread count; (4) the assignment skips
+// work it can prove does not change the argmin. Below the pruning
+// threshold (the paper's K = 2/3) each point keeps Elkan's
+// triangle-inequality bounds in chord units, |x^ - c^| =
+// sqrt(2 * cosine distance): an upper bound to its own centroid and a
+// lower bound per centroid, moved each iteration by the centroid's
+// drift. A point whose bounds separate by a margin keeps its cluster
+// with no dot product; otherwise it computes its own distance first and
+// the other distances only if that does not settle it. At large cluster
+// counts the assignment instead prunes candidates per point (norm
+// bounds plus early-exit bounded kernels that abort a scan once the
+// running distance loses to the best so far). Both are EXACT: ties are
+// still broken by the lowest index, so every path is bit-identical to
+// the exhaustive scan and rides the same golden hashes (see AssignMode
+// and the error budget in kmeans.cpp).
 #ifndef SEGHDC_CORE_KMEANS_HPP
 #define SEGHDC_CORE_KMEANS_HPP
 
@@ -49,18 +57,21 @@ struct HvKMeansConfig {
   std::size_t iterations = 10;
   ClusterDistance distance = ClusterDistance::kCosine;
   /// Assignment strategy (see core::AssignMode). kAuto prunes when
-  /// clusters >= prune_min_clusters and defers to the
+  /// clusters >= prune_min_clusters, runs the cosine scan behind the
+  /// triangle-inequality bound filter below it, and defers to the
   /// SEGHDC_ASSIGN_MODE environment variable when set (resolved once at
-  /// construction; unknown values are hard errors). Pruning is EXACT:
-  /// norm bounds and early-exit bounded kernels only skip centroids
-  /// that provably cannot win the argmin — including index tie-breaks —
-  /// so assignments, centroids, and convergence behaviour are
-  /// bit-identical in every mode, at every backend and pool size.
+  /// construction; unknown values are hard errors). Every skip is EXACT:
+  /// the bounds, norm bounds and early-exit bounded kernels only skip
+  /// pairs that provably cannot win the argmin — including index
+  /// tie-breaks — so assignments, centroids, and convergence behaviour
+  /// are bit-identical in every mode, at every backend and pool size.
+  /// kExhaustive is the reference the others are tested against.
   AssignMode assign_mode = AssignMode::kAuto;
-  /// kAuto threshold: prune when clusters >= this. At very small K the
-  /// per-point candidate ordering costs more than the scans it skips;
-  /// from roughly this K up the pruned scan wins and keeps widening
-  /// (see bench_assign).
+  /// kAuto threshold: prune per candidate when clusters >= this, else
+  /// run the bound filter (cosine; the Hamming ablation scans
+  /// exhaustively). At very small K the per-point candidate ordering
+  /// costs more than the scans it skips; from roughly this K up the
+  /// pruned scan wins and keeps widening (see bench_assign).
   std::size_t prune_min_clusters = 8;
   /// Stop as soon as an assignment step changes no point (the paper runs
   /// a fixed budget but observes saturation by iteration ~4; with this
@@ -86,19 +97,24 @@ struct HvKMeansResult {
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
   std::size_t reseeds = 0;
-  /// True when the run used the candidate-pruned assignment path
+  /// True when the run used the per-candidate pruned assignment path
   /// (resolved mode kPruned, or kAuto with clusters >=
-  /// prune_min_clusters). Purely informational — both paths produce
-  /// bit-identical results.
+  /// prune_min_clusters). False for the exhaustive scan and the bound
+  /// filter. Purely informational — every path produces bit-identical
+  /// results.
   bool pruned_assignment = false;
-  /// Work performed. Assignment accounting is measured, not assumed:
-  /// `distance_evals` counts pairs whose exact distance was computed,
-  /// `candidates_pruned` counts pairs skipped by norm bounds or aborted
-  /// bounded-kernel scans (evals + pruned == points * clusters per
-  /// iteration in every mode), `dot_adds` adds `dim` per evaluated
-  /// distance whose dot/scan actually ran (so the exhaustive total is
-  /// the classic n*k*dim), and `words_scanned` counts the words the
-  /// assignment kernels actually streamed, partial scans included.
+  /// Work performed. Assignment accounting is measured, not assumed,
+  /// and every path counts the kernels it ran: `distance_evals` counts
+  /// pairs whose exact distance was computed (the zero-norm 1.0
+  /// shortcut included), `candidates_pruned` counts pairs skipped by the
+  /// chord bounds, norm bounds or aborted bounded-kernel scans (evals +
+  /// pruned == points * clusters per iteration in every mode; a point
+  /// the bound filter skips adds `clusters`), `dot_adds` adds `dim` per
+  /// dot/scan that ran to completion (n*k*dim for an exhaustive run
+  /// without zero rows), and `words_scanned` counts the words the
+  /// kernels actually streamed, partial scans included. The exact
+  /// distances a reseed recomputes for skipped points add to `dot_adds`
+  /// and `words_scanned` only.
   /// `centroid_update_adds` is measured too: `dim` per point added or
   /// subtracted by the update step, so n*dim at iteration 0 plus
   /// 2*dim per point that moved cluster afterwards.

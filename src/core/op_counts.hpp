@@ -23,10 +23,11 @@ struct OpCounts {
   std::uint64_t centroid_update_adds = 0;
   std::uint64_t distance_evals = 0;      ///< point-centroid distances
   /// (point, centroid) pairs the assignment step skipped without a full
-  /// distance: norm-bound skips plus early-exited bounded-kernel scans.
-  /// Every assignment pair is either a distance_eval or pruned, so
-  /// distance_evals + candidates_pruned == points * clusters *
-  /// iterations for a clustering run. Zero under exhaustive assignment.
+  /// distance: chord-bound skips of the default filter, norm-bound skips
+  /// and early-exited bounded-kernel scans. Every assignment pair is
+  /// either a distance_eval or pruned, so distance_evals +
+  /// candidates_pruned == points * clusters * iterations for a
+  /// clustering run. Zero under AssignMode::kExhaustive only.
   std::uint64_t candidates_pruned = 0;
   /// 64-bit words actually streamed by the assignment distance kernels
   /// (full scans and aborted partial scans alike; each cosine plane

@@ -41,9 +41,9 @@ struct ImageRecord {
   /// FNV-1a fingerprint of the label map (0 for methods evaluated
   /// through the generic functor API, which does not expose labels).
   std::uint64_t label_hash = 0;
-  /// Work actually performed (measured accounting: in pruned assignment
-  /// mode these are the counted distances/prunes, never a blanket
-  /// formula). Zero for generic-functor evaluation.
+  /// Work actually performed (measured accounting: every assignment
+  /// mode counts the distances, skips and kernels it ran, never a
+  /// blanket formula). Zero for generic-functor evaluation.
   core::OpCounts ops;
   std::size_t unique_points = 0;
   std::size_t iterations_run = 0;

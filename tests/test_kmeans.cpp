@@ -351,10 +351,11 @@ TEST(HvKMeans, OpsAccounting) {
   const std::uint64_t n = data.points.size();
   const std::uint64_t dim = data.points[0].dim();
   constexpr std::uint64_t kIterations = 5;
-  // Pins the exhaustive-mode formulas, so force that mode explicitly —
-  // an SEGHDC_ASSIGN_MODE=pruned environment (the CI matrix sets it)
-  // must not flip this run onto the measured accounting, which
-  // test_kmeans_pruned pins separately.
+  // Pins the exhaustive-mode counts, so force that mode explicitly — an
+  // SEGHDC_ASSIGN_MODE=pruned environment (the CI matrix sets it) or the
+  // default bound filter would skip pairs, which test_kmeans_pruned
+  // pins separately. This data has no zero rows, so every pair runs its
+  // dot kernel.
   HvKMeansConfig config{.clusters = 2,
                         .iterations = kIterations,
                         .assign_mode = AssignMode::kExhaustive};
@@ -386,6 +387,24 @@ TEST(HvKMeans, OpsAccounting) {
     EXPECT_EQ(ops[p].candidates_pruned, ops[0].candidates_pruned);
     EXPECT_EQ(ops[p].words_scanned, ops[0].words_scanned);
   }
+}
+
+TEST(HvKMeans, ExhaustiveOpsCountOnlyKernelsThatRan) {
+  // An all-zero row answers every cosine pair with the 1.0 shortcut and
+  // runs no dot: it is a distance evaluation without dot adds or words.
+  auto data = make_moving_data();
+  data.points[5] = hdc::HyperVector(data.points[0].dim());
+  const std::uint64_t n = data.points.size();
+  const std::uint64_t dim = data.points[0].dim();
+  constexpr std::uint64_t kIterations = 5;
+  const HvKMeansConfig config{.clusters = 2,
+                              .iterations = kIterations,
+                              .assign_mode = AssignMode::kExhaustive};
+  const auto result = HvKMeans(config).run(data.points, {}, kMovingSeeds);
+  ASSERT_EQ(result.iterations_run, kIterations);
+  EXPECT_EQ(result.ops.dot_adds, (n - 1) * 2 * dim * kIterations);
+  EXPECT_EQ(result.ops.distance_evals, n * 2 * kIterations);
+  EXPECT_EQ(result.ops.candidates_pruned, 0u);
 }
 
 TEST(HvKMeans, ValidatesArguments) {
