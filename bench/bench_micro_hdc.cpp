@@ -18,6 +18,7 @@
 #include <exception>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/color_encoder.hpp"
@@ -251,6 +252,70 @@ void BM_CosinePlanesKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CosinePlanesKernel)->Arg(800)->Arg(2000)->Arg(10000);
 
+// --- The K-Means update primitive: 64 weighted rows into one centroid
+// per iteration, staged bit-sliced and applied once (BM_UpdateStaged,
+// what HvKMeans runs) against one Accumulator::add per row
+// (BM_UpdatePerRow, the scalar set-bit walk). Second argument: 0 = every
+// weight 1 (the RGB datasets' unique points), 1 = mixed weights 1-1000
+// (dedup multiplicities of a gray image). Items are rows. ---
+
+constexpr std::size_t kUpdateRows = 64;
+
+struct UpdateRows {
+  hdc::HvBlock rows;
+  std::vector<std::uint32_t> weights;
+};
+
+UpdateRows make_update_rows(const benchmark::State& state) {
+  util::Rng rng(7);
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  std::vector<hdc::HyperVector> hvs;
+  std::vector<std::uint32_t> weights;
+  for (std::size_t i = 0; i < kUpdateRows; ++i) {
+    hvs.push_back(hdc::HyperVector::random(dim, rng));
+    weights.push_back(state.range(1) == 0
+                          ? 1
+                          : static_cast<std::uint32_t>(1 + rng() % 1000));
+  }
+  return UpdateRows{hdc::HvBlock::from_hvs(hvs), std::move(weights)};
+}
+
+void BM_UpdateStaged(benchmark::State& state) {
+  const auto input = make_update_rows(state);
+  hdc::Accumulator acc(input.rows.dim());
+  hdc::StagedSum staged(input.rows.dim());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kUpdateRows; ++i) {
+      staged.add(input.rows.row(i), input.weights[i]);
+    }
+    acc.apply(staged);
+    benchmark::DoNotOptimize(acc.counts().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kUpdateRows));
+}
+BENCHMARK(BM_UpdateStaged)
+    ->ArgNames({"dim", "mixed"})
+    ->ArgsProduct({{800, 2000, 10000}, {0, 1}});
+
+void BM_UpdatePerRow(benchmark::State& state) {
+  const auto input = make_update_rows(state);
+  hdc::Accumulator acc(input.rows.dim());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kUpdateRows; ++i) {
+      acc.add(input.rows.row(i), input.weights[i]);
+    }
+    benchmark::DoNotOptimize(acc.counts().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kUpdateRows));
+}
+BENCHMARK(BM_UpdatePerRow)
+    ->ArgNames({"dim", "mixed"})
+    ->ArgsProduct({{800, 2000, 10000}, {0, 1}});
+
 // --- Per-backend sweep: the same Hamming / plane-cosine kernels run
 // against every backend available on this CPU, bypassing dispatch, so
 // one report compares them directly (the acceptance gate: best backend
@@ -266,24 +331,6 @@ void BM_HammingBackend(benchmark::State& state,
   const auto block = hdc::HvBlock::from_hvs(hvs);
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend->hamming(block.row(0), block.row(1)));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dim));
-}
-
-// Weighted centroid accumulate through each backend: the K-Means
-// update-step primitive (Accumulator::add). The scalar slot is the old
-// production set-bit walk, so BM_AccumulateBackend/scalar vs the SIMD
-// backends is exactly what dispatching the centroid update bought.
-void BM_AccumulateBackend(benchmark::State& state,
-                          const hdc::simd::KernelBackend* backend) {
-  util::Rng rng(7);
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> counts(dim, 0);
-  const auto probe = hdc::HyperVector::random(dim, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend->accumulate_words(counts, probe.words(), 3));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(dim));
@@ -325,11 +372,6 @@ void register_backend_sweeps() {
         ->Arg(10000);
     benchmark::RegisterBenchmark(("BM_CosinePlanesBackend/" + name).c_str(),
                                  BM_CosinePlanesBackend, backend)
-        ->Arg(800)
-        ->Arg(2000)
-        ->Arg(10000);
-    benchmark::RegisterBenchmark(("BM_AccumulateBackend/" + name).c_str(),
-                                 BM_AccumulateBackend, backend)
         ->Arg(800)
         ->Arg(2000)
         ->Arg(10000);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -74,11 +75,15 @@ AssignTally for_each_point(util::ThreadPool& pool, std::size_t n,
 // computed distance is within sqrt(1.6e-15) ~ 4e-8 of the real chord
 // (the worst case is near zero distance), which kChordSlack covers. The
 // drift is computed from the exact integer dot D and sums of squares
-// S1, S2 of the two count vectors as
+// S1, S2 of the two count vectors (128-bit sums: S passes 2^63 once a
+// centroid of dimension 10,000 holds ~5e7 pixels) as
 // 1 - cos = (S1 S2 - D^2) / (sqrt(S1 S2) (sqrt(S1 S2) + D)): the
 // numerator is an exact 128-bit integer, so nothing cancels and the
 // chord carries <= 6u relative error (<= 1.4e-15 absolute for a chord
-// <= 2). kDriftSlack covers that plus the rounding of the bound updates
+// <= 2). When S1 S2 does not fit in 128 bits the drift is the trivial
+// over-estimate 2 + kDriftSlack: that centroid skips no point for an
+// iteration, and the labels stay exact. kDriftSlack covers the rounding
+// above plus the rounding of the bound updates
 // u += drift and l -= drift (<= 3.6e-15 each while the bounds stay below
 // 32 in magnitude, which a few dozen drifts <= 2 cannot exceed). Every
 // bound is therefore a true real-number bound.
@@ -109,20 +114,28 @@ double chord_of(double cosine_distance) {
 /// when the directions coincide.
 double chord_drift(std::span<const std::int64_t> before,
                    std::span<const std::int64_t> after) {
-  // Non-negative counts keep every partial sum below the full sums of
-  // squares, which the accumulators hold in int64 (|D| <= max(S1, S2)).
-  std::int64_t dot = 0;
-  std::int64_t s1 = 0;
-  std::int64_t s2 = 0;
-  for (std::size_t j = 0; j < before.size(); ++j) {
-    dot += before[j] * after[j];
-    s1 += before[j] * before[j];
-    s2 += after[j] * after[j];
-  }
+  __extension__ using i128 = __int128;
   __extension__ using u128 = unsigned __int128;
+  // Non-negative counts keep every partial sum below the full sums of
+  // squares, which the accumulators hold exactly in 128 bits
+  // (|D| <= max(S1, S2)).
+  i128 dot = 0;
+  i128 s1 = 0;
+  i128 s2 = 0;
+  for (std::size_t j = 0; j < before.size(); ++j) {
+    dot += static_cast<i128>(before[j]) * after[j];
+    s1 += static_cast<i128>(before[j]) * before[j];
+    s2 += static_cast<i128>(after[j]) * after[j];
+  }
+  const auto u1 = static_cast<u128>(s1);
+  const auto u2 = static_cast<u128>(s2);
+  if (u2 != 0 && u1 > ~u128{0} / u2) {
+    // S1 * S2 has no exact 128-bit form: two unit directions are at
+    // most 2 apart.
+    return 2.0 + kDriftSlack;
+  }
   // Exact and >= 0 by Cauchy-Schwarz.
-  const u128 gap = static_cast<u128>(s1) * static_cast<u128>(s2) -
-                   static_cast<u128>(dot) * static_cast<u128>(dot);
+  const u128 gap = u1 * u2 - static_cast<u128>(dot) * static_cast<u128>(dot);
   if (gap == 0) {
     return 0.0;
   }
@@ -217,6 +230,8 @@ HvKMeansResult HvKMeans::run_impl(
                 "HvKMeans::run needs at least as many points as clusters");
   util::expects(weights.empty() || weights.size() == points.count(),
                 "HvKMeans::run weights must be empty or match points");
+  util::expects(points.count() <= std::numeric_limits<std::uint32_t>::max(),
+                "HvKMeans::run supports at most 2^32 - 1 points");
   // The distance kernels index centroid counts by set-bit position, so a
   // stray bit above dim would read out of bounds; enforce the padding
   // invariant once up front (one word test per row).
@@ -301,6 +316,22 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<std::vector<hdc::Accumulator>> banks(
       update_chunks, std::vector<hdc::Accumulator>(k, hdc::Accumulator(dim)));
   std::vector<std::uint32_t> bank_assignment(n, kNotAdded);
+  // Per chunk, what one update stages: a single StagedSum, reused
+  // cluster after cluster, so its planes do not grow with k; and the
+  // chunk's moved points bucketed by destination (`in`) and by source
+  // (`out`) cluster, bucket c being [in_start[c], in_start[c + 1]) of
+  // `in`.
+  struct ChunkMoves {
+    hdc::StagedSum staged;
+    std::vector<std::uint32_t> in;
+    std::vector<std::uint32_t> out;
+    std::vector<std::size_t> in_start;
+    std::vector<std::size_t> out_start;
+  };
+  std::vector<ChunkMoves> chunk_moves(update_chunks);
+  for (auto& moves : chunk_moves) {
+    moves.staged = hdc::StagedSum(dim);
+  }
 
   std::vector<double> distance_to_own(n, 0.0);
   // Majority-binarized centroids for the Hamming variant; every row is
@@ -716,11 +747,13 @@ HvKMeansResult HvKMeans::run_impl(
     }
 
     // --- Update step: move only the points whose assignment differs
-    // from the one their chunk's bank holds them under — subtract from
-    // the old cluster, add to the new one (iteration 0 moves every point
-    // in) — then merge the banks into the centroids in chunk order.
-    // Integer adds and subtracts commute exactly, so the centroids (and
-    // every label derived from them) equal a from-scratch re-sum of the
+    // from the one their chunk's bank holds them under (iteration 0
+    // moves every point in). Each chunk buckets its moves by destination
+    // and by source cluster, stages a cluster's moved-in rows and then
+    // its moved-out rows bit-sliced, and applies the exact integer delta
+    // to the bank once; then the banks merge into the centroids in chunk
+    // order. Integer sums commute exactly, so the centroids (and every
+    // label derived from them) equal a from-scratch re-sum of the
     // assignment, bit for bit, at any thread count. ---
     std::atomic<std::uint64_t> moved{0};
     {
@@ -729,23 +762,60 @@ HvKMeansResult HvKMeans::run_impl(
           0, update_chunks,
           [&](std::size_t chunk) {
             auto& bank = banks[chunk];
-            std::uint64_t chunk_moved = 0;
+            auto& moves = chunk_moves[chunk];
             const std::size_t lo = chunk * n / update_chunks;
             const std::size_t hi = (chunk + 1) * n / update_chunks;
+            // Counting sort: count each bucket, take the running sums as
+            // bucket ends, then fill from the back so every bucket keeps
+            // index order and its end moves down to its start.
+            moves.in_start.assign(k + 1, 0);
+            moves.out_start.assign(k + 1, 0);
             for (std::size_t i = lo; i < hi; ++i) {
               const std::uint32_t from = bank_assignment[i];
               const std::uint32_t to = result.assignment[i];
-              if (from == to) {
+              if (from != to) {
+                ++moves.in_start[to];
+                if (from != kNotAdded) {
+                  ++moves.out_start[from];
+                }
+              }
+            }
+            std::partial_sum(moves.in_start.begin(), moves.in_start.end(),
+                             moves.in_start.begin());
+            std::partial_sum(moves.out_start.begin(), moves.out_start.end(),
+                             moves.out_start.begin());
+            moves.in.resize(moves.in_start[k]);
+            moves.out.resize(moves.out_start[k]);
+            for (std::size_t i = hi; i-- > lo;) {
+              const std::uint32_t from = bank_assignment[i];
+              const std::uint32_t to = result.assignment[i];
+              if (from != to) {
+                const auto point = static_cast<std::uint32_t>(i);
+                moves.in[--moves.in_start[to]] = point;
+                if (from != kNotAdded) {
+                  moves.out[--moves.out_start[from]] = point;
+                }
+                bank_assignment[i] = to;
+              }
+            }
+            for (std::size_t c = 0; c < k; ++c) {
+              const auto in = std::span(moves.in).subspan(
+                  moves.in_start[c], moves.in_start[c + 1] - moves.in_start[c]);
+              const auto out = std::span(moves.out).subspan(
+                  moves.out_start[c],
+                  moves.out_start[c + 1] - moves.out_start[c]);
+              if (in.empty() && out.empty()) {
                 continue;
               }
-              if (from != kNotAdded) {
-                bank[from].sub(points.row(i), weight_of(i));
+              for (const std::uint32_t i : in) {
+                moves.staged.add(points.row(i), weight_of(i));
               }
-              bank[to].add(points.row(i), weight_of(i));
-              bank_assignment[i] = to;
-              ++chunk_moved;
+              for (const std::uint32_t i : out) {
+                moves.staged.sub(points.row(i), weight_of(i));
+              }
+              bank[c].apply(moves.staged);
             }
-            moved.fetch_add(chunk_moved, std::memory_order_relaxed);
+            moved.fetch_add(moves.in.size(), std::memory_order_relaxed);
           },
           /*grain=*/1);
       for (std::size_t c = 0; c < k; ++c) {

@@ -16,9 +16,13 @@
 // of walking set bits serially — the integer dot, and therefore every
 // label, is bit-identical to the serial formulation; (3) the update step
 // keeps one persistent bank of partial centroids per chunk of points and
-// each iteration subtracts and re-adds only the points whose assignment
-// changed (Accumulator::sub, exact integer arithmetic), in parallel per
-// chunk, then merges the banks in fixed order — integer sums are
+// each iteration moves only the points whose assignment changed, in
+// parallel per chunk: the chunk buckets its moves by destination and by
+// source cluster, and per cluster stages the moved-in rows and then the
+// moved-out rows in one bit-sliced hdc::StagedSum (8 rows per
+// carry-save vertical count, a few word operations per row word) and
+// applies the exact integer delta to its bank once (Accumulator::apply).
+// The banks then merge in fixed order — integer sums are
 // order-independent, so the centroids equal a from-scratch re-sum and
 // are bit-identical for every thread count; (4) the assignment skips
 // work it can prove does not change the argmin. Below the pruning
@@ -115,9 +119,10 @@ struct HvKMeansResult {
   /// kernels actually streamed, partial scans included. The exact
   /// distances a reseed recomputes for skipped points add to `dot_adds`
   /// and `words_scanned` only.
-  /// `centroid_update_adds` is measured too: `dim` per point added or
-  /// subtracted by the update step, so n*dim at iteration 0 plus
-  /// 2*dim per point that moved cluster afterwards.
+  /// `centroid_update_adds` is measured too, as the op model's logical
+  /// count: `dim` per point added or removed by the update step, so
+  /// n*dim at iteration 0 plus 2*dim per point that moved cluster
+  /// afterwards (the staged update does fewer word operations).
   OpCounts ops;
 };
 
@@ -135,8 +140,9 @@ class HvKMeans {
                      std::span<const std::uint32_t> weights,
                      std::span<const std::size_t> seed_points) const;
 
-  /// The primary entry point: clusters the rows of a packed `HvBlock`.
-  /// The assignment step streams the fused word-span kernels over block
+  /// The primary entry point: clusters the rows of a packed `HvBlock`
+  /// (at most 2^32 - 1 of them; an image has fewer pixels). The
+  /// assignment step streams the fused word-span kernels over block
   /// rows in parallel — no per-point HyperVector is ever materialised.
   HvKMeansResult run(const hdc::HvBlock& points,
                      std::span<const std::uint32_t> weights,

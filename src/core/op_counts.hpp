@@ -15,11 +15,13 @@ struct OpCounts {
   std::uint64_t bind_xor_bits = 0;       ///< XOR binding work
   std::uint64_t popcount_bits = 0;       ///< popcount/Hamming work
   std::uint64_t dot_adds = 0;            ///< centroid dot-product adds
-  /// Centroid accumulation adds. Measured for a clustering run: dim per
-  /// point added to or subtracted from a centroid by the update step
-  /// (n * dim at iteration 0, 2 * dim per moved point afterwards), a
-  /// function of the assignment history alone and so identical at every
-  /// pool size. analytic_seghdc_ops keeps the per-iteration full re-sum.
+  /// Centroid accumulation adds. Measured for a clustering run as the op
+  /// model's logical count, not the kernel's work: dim per point added
+  /// to or removed from a centroid by the update step (n * dim at
+  /// iteration 0, 2 * dim per moved point afterwards), a function of the
+  /// assignment history alone and so identical at every pool size. The
+  /// update stages those rows bit-sliced, so it does far fewer word
+  /// operations. analytic_seghdc_ops keeps the per-iteration full re-sum.
   std::uint64_t centroid_update_adds = 0;
   std::uint64_t distance_evals = 0;      ///< point-centroid distances
   /// (point, centroid) pairs the assignment step skipped without a full

@@ -7,6 +7,7 @@
 #ifndef SEGHDC_HDC_ACCUMULATOR_HPP
 #define SEGHDC_HDC_ACCUMULATOR_HPP
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "src/hdc/kernels.hpp"
 
 namespace seghdc::hdc {
+
+class StagedSum;
 
 /// Element-wise integer sum of (weighted) binary hypervectors.
 class Accumulator {
@@ -35,23 +38,27 @@ class Accumulator {
   void add(const HyperVector& hv, std::uint32_t weight = 1);
 
   /// Same, over pre-packed words (e.g. an `HvBlock` row): exactly
-  /// ceil(dim/64) words, padding bits zero. Runs on the dispatched
-  /// accumulate kernel (word-blocked masked adds on SIMD backends), not
-  /// a bit-serial set-bit walk; every backend produces identical counts
-  /// and norms.
+  /// ceil(dim/64) words, padding bits zero. A set-bit walk over the row
+  /// (kernels::accumulate_counts_words) — the path for single rows, such
+  /// as the K-Means seeds and reseed patches; many rows at once go
+  /// through a StagedSum and apply().
   void add(std::span<const std::uint64_t> packed_bits,
            std::uint32_t weight = 1);
 
-  /// Exact inverse of add: counts[i] -= weight for every set bit i, on
-  /// the same signed accumulate kernel, with the incremental norm kept
-  /// exact (the sum of squares changes by -2w * dot_before + w^2 *
-  /// popcount). Removing a point this accumulator holds restores the
-  /// counts, total weight, and norm it had before that point's add —
-  /// what lets the K-Means update move only the points that changed
-  /// cluster. Throws std::invalid_argument when `weight` exceeds
-  /// total_weight().
-  void sub(std::span<const std::uint64_t> packed_bits,
-           std::uint32_t weight = 1);
+  /// Applies everything `staged` holds, then empties it: counts[i] gains
+  /// the staged additions less the staged removals at i, the total
+  /// weight changes by added_weight() - removed_weight(), and the sum of
+  /// squares by 2 * x * delta + delta^2 per changed element (as merge
+  /// does). The integers are exactly those of adding (and, for
+  /// removals, taking back) each staged row one at a time, so removing
+  /// rows this accumulator holds restores the counts, weight and norm it
+  /// had before they were added — what lets the K-Means update move only
+  /// the points that changed cluster, with one pass over the counts per
+  /// cluster. It is the only way to remove rows: there is no per-row
+  /// sub. Throws std::invalid_argument, leaving both sides untouched,
+  /// when the dimensions differ or when the removals exceed
+  /// total_weight() plus the staged additions.
+  void apply(StagedSum& staged);
 
   /// Component-wise sum with another accumulator of the same dimension:
   /// counts, total weight, and the incremental norm all merge exactly.
@@ -60,7 +67,7 @@ class Accumulator {
   /// grouping with bit-identical results.
   void merge(const Accumulator& other);
 
-  /// Sum of the weights added, less those subtracted, since the last
+  /// Sum of the weights added, less those removed, since the last
   /// clear().
   std::uint64_t total_weight() const { return total_weight_; }
 
@@ -71,8 +78,9 @@ class Accumulator {
 
   /// Rebuilds `out` as the bit-plane snapshot of the current counts
   /// (kernels::CountPlanes), the layout the clusterer's word-blocked
-  /// cosine assignment streams over. Counts stay non-negative while sub
-  /// only removes points that were added, so the build never throws.
+  /// cosine assignment streams over. Counts stay non-negative while
+  /// apply() only removes rows that were added, so the build never
+  /// throws.
   void snapshot_planes(kernels::CountPlanes& out) const;
 
   /// Dot product with a binary HV: sum of counts at the HV's set bits.
@@ -81,7 +89,11 @@ class Accumulator {
   /// Same, over pre-packed words with zero padding.
   std::int64_t dot(std::span<const std::uint64_t> packed_bits) const;
 
-  /// Euclidean norm of the accumulator (sqrt of sum of squares).
+  /// Euclidean norm of the accumulator (sqrt of sum of squares). The sum
+  /// of squares is kept exact in signed 128-bit: it passes 2^63 once a
+  /// centroid of dimension 10,000 holds ~5e7 pixels, which a large image
+  /// reaches. It is rounded to double once, here, so every norm below
+  /// 2^63 is the same double a 64-bit sum gives.
   double norm() const;
 
   /// Cosine distance to a binary HV per paper Eq. 7:
@@ -96,16 +108,88 @@ class Accumulator {
   HyperVector to_majority() const;
 
  private:
-  /// Shared body of add/sub: validates the packed span, then adds the
-  /// signed `weight` at every set bit and updates the sum of squares.
-  void accumulate(std::span<const std::uint64_t> packed_bits,
-                  std::int64_t weight);
+  __extension__ using Int128 = __int128;
 
   std::vector<std::int64_t> counts_;
   std::uint64_t total_weight_ = 0;
   // Norm bookkeeping: kept incrementally so the clusterer's per-point
   // cosine distance never rescans the full accumulator.
-  std::int64_t sum_squares_ = 0;
+  Int128 sum_squares_ = 0;
+};
+
+/// A signed, weighted sum of packed rows staged bit-sliced, for applying
+/// many rows to an Accumulator at once (the positional population count;
+/// Klarqvist, Mula and Lemire, 2021). Additions and removals are kept
+/// apart, each as bit planes: plane p of word w holds bit p of the 64
+/// lane sums of that word. add() or sub() queues a row once per set bit
+/// b of its weight, at level b; when a level holds 8 rows they fold into
+/// a 4-bit vertical sum (a branch-free carry-save tree over the row
+/// words), which ripple-adds into the planes at offset b until the carry
+/// is zero. A row then costs a few word operations per row word, where
+/// Accumulator::add read-modifies-writes 64 int64 counts. Each side's
+/// planes are sized from the bit width of its staged weight, so a carry
+/// never runs past the last plane, whatever the weights. Memory is the
+/// planes, independent of how many rows are staged.
+///
+/// The staged rows are referenced, not copied: each row's words must
+/// stay alive and unchanged until Accumulator::apply() consumes the
+/// staged sum. A plain container: mutation is the caller's to
+/// synchronise.
+class StagedSum {
+ public:
+  StagedSum() = default;
+  explicit StagedSum(std::size_t dim);
+
+  std::size_t dim() const { return dim_; }
+
+  /// Stages `weight` copies of the row: exactly ceil(dim/64) words,
+  /// padding bits zero.
+  void add(std::span<const std::uint64_t> packed_bits,
+           std::uint32_t weight = 1);
+
+  /// Stages the removal of `weight` copies of the row.
+  void sub(std::span<const std::uint64_t> packed_bits,
+           std::uint32_t weight = 1);
+
+  /// Weight staged by add() and by sub() since the last apply.
+  std::uint64_t added_weight() const { return sides_[0].weight; }
+  std::uint64_t removed_weight() const { return sides_[1].weight; }
+
+ private:
+  friend class Accumulator;
+
+  static constexpr std::size_t kLevels = 32;  // bits of a uint32 weight
+  static constexpr std::size_t kFoldRows = 8;
+  // A fold writes the 4 planes at offsets b..b+3; b is below the plane
+  // count, so 3 planes of headroom keep that window in bounds. They end
+  // every fold at zero: no lane sum reaches 2^plane_count.
+  static constexpr std::size_t kFoldSpan = 4;
+
+  /// The rows staged with one sign.
+  struct Side {
+    std::uint64_t weight = 0;
+    std::size_t plane_count = 0;  // bit width of `weight`
+    std::vector<std::uint64_t> planes;  // (plane_count + 3) planes
+    std::array<std::array<const std::uint64_t*, kFoldRows>, kLevels>
+        queued{};
+    std::array<std::size_t, kLevels> queued_count{};
+  };
+
+  void stage(Side& side, std::span<const std::uint64_t> packed_bits,
+             std::uint32_t weight);
+  /// Folds `level`'s queued rows into `side` (zero rows fill the empty
+  /// slots).
+  void fold(Side& side, std::size_t level);
+  /// Folds every partly filled level of both sides.
+  void fold_partial_levels();
+  /// Empties both sides, keeping their storage.
+  void clear();
+
+  std::size_t dim_ = 0;
+  std::size_t words_ = 0;
+  std::array<Side, 2> sides_;  // additions, removals
+  std::vector<std::uint64_t> carry_;  // one word per row word
+  std::vector<std::uint64_t> zero_row_;
 };
 
 }  // namespace seghdc::hdc

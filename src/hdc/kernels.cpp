@@ -10,7 +10,8 @@ namespace seghdc::hdc {
 // The free kernels validate shapes once and forward to the
 // runtime-dispatched backend (src/hdc/simd/): call sites are oblivious
 // to which ISA implementation runs underneath, and every backend
-// returns the same integers.
+// returns the same integers. accumulate_counts_words is the one kernel
+// without a slot: it is the scalar set-bit walk itself.
 
 namespace kernels {
 
@@ -55,8 +56,13 @@ std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
 
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,
                                      std::span<const std::uint64_t> words,
-                                     std::int64_t weight) {
-  return simd::active_backend().accumulate_words(counts, words, weight);
+                                     std::uint32_t weight) {
+  std::int64_t dot = 0;
+  for_each_set_bit_words(words, [&](std::size_t i) {
+    dot += counts[i];
+    counts[i] += weight;
+  });
+  return dot;
 }
 
 double cosine_distance_words(std::span<const std::int64_t> counts,

@@ -82,16 +82,17 @@ void xor_words(std::span<std::uint64_t> dst,
 std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
                               std::span<const std::uint64_t> words);
 
-/// Weighted accumulate into an integer centroid — the K-Means update
-/// primitive: counts[i] += weight for every set bit i of `words`,
-/// word-blocked on the dispatched backend. `weight` is signed: a
-/// negative weight is Accumulator::sub. Returns the sum of the
-/// pre-update counts over those bits (the old-counts dot), which is what
-/// Accumulator::add and ::sub need to keep the incremental norm exact in
-/// the same pass. Same span contract as dot_counts_words.
+/// Weighted accumulate into an integer centroid: counts[i] += weight
+/// for every set bit i of `words`, as the scalar set-bit walk. It runs
+/// for single rows only (Accumulator::add: the K-Means seeds and reseed
+/// patches), so it has no backend slot; the K-Means update stages its
+/// rows bit-sliced (hdc::StagedSum). Returns the sum of the pre-update
+/// counts over those bits (the old-counts dot), which Accumulator::add
+/// needs to keep the incremental norm exact in the same pass. Same span
+/// contract as dot_counts_words.
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,
                                      std::span<const std::uint64_t> words,
-                                     std::int64_t weight);
+                                     std::uint32_t weight);
 
 /// Cosine distance (paper Eq. 7) between a packed binary point and an
 /// integer centroid, with both norms precomputed by the caller (the

@@ -120,21 +120,13 @@ struct KernelBackend {
   /// sum of counts[i] over set bits i. Kept in the vtable for the
   /// gather-style callers (Accumulator::dot); the clustering hot loop
   /// uses the bandwidth-bound plane formulation built on and_popcount
-  /// (hdc::CountPlanes in src/hdc/kernels.hpp) instead.
+  /// (hdc::CountPlanes in src/hdc/kernels.hpp) instead. There is no
+  /// accumulate slot: kernels::accumulate_counts_words is the scalar
+  /// set-bit walk for single rows, and the K-Means update folds its rows
+  /// bit-sliced in portable 64-bit words (hdc::StagedSum), the same code
+  /// on every backend.
   std::int64_t (*dot_counts)(std::span<const std::int64_t> counts,
                              std::span<const std::uint64_t> words);
-  /// Fused weighted accumulate — the K-Means centroid-update primitive:
-  /// counts[i] += weight for every set bit i of `words`, word-blocked
-  /// (masked lane adds instead of a bit-serial set-bit walk). `weight`
-  /// is signed; Accumulator::sub passes a negative one. Returns the sum
-  /// of the PRE-update counts over those same bits (the dot of the old
-  /// counts with `words`), so Accumulator::add/sub maintain the
-  /// incremental sum-of-squares without a second gather pass. `counts`
-  /// must cover the bit span exactly like dot_counts (set bits only
-  /// below counts.size(); callers enforce zero padding).
-  std::int64_t (*accumulate_words)(std::span<std::int64_t> counts,
-                                   std::span<const std::uint64_t> words,
-                                   std::int64_t weight);
   /// Bit-plane scatter backing kernels::CountPlanes::build: for every
   /// count i and every set bit b of counts[i], sets bit (i % 64) of
   /// storage[b * words_per_plane + i / 64]. `storage` arrives zeroed and

@@ -182,46 +182,6 @@ SEGHDC_AVX2 void avx2_xor_bind(std::span<std::uint64_t> dst,
   }
 }
 
-/// Masked-lane accumulate: each 64-bit mask word selects lanes of 16
-/// consecutive 4 x int64 count vectors. The nibble selector starts at
-/// {1,2,4,8} and slides left 4 bits per group, so one broadcast of the
-/// mask word drives all 16 compares — no per-bit countr_zero chain, and
-/// the pre-add dot rides the same pass in a vector accumulator.
-SEGHDC_AVX2 std::int64_t avx2_accumulate_words(
-    std::span<std::int64_t> counts, std::span<const std::uint64_t> words,
-    std::int64_t weight) {
-  __m256i dot_acc = _mm256_setzero_si256();
-  const __m256i weight_vec = _mm256_set1_epi64x(weight);
-  const std::size_t full = counts.size() / 64;
-  std::size_t w = 0;
-  for (; w < full && w < words.size(); ++w) {
-    const std::uint64_t bits = words[w];
-    if (bits == 0) {
-      continue;
-    }
-    std::int64_t* base = counts.data() + w * 64;
-    const __m256i bcast =
-        _mm256_set1_epi64x(static_cast<std::int64_t>(bits));
-    __m256i select = _mm256_setr_epi64x(1, 2, 4, 8);
-    for (std::size_t g = 0; g < 16; ++g) {
-      const __m256i mask =
-          _mm256_cmpeq_epi64(_mm256_and_si256(bcast, select), select);
-      __m256i c = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(base + 4 * g));
-      dot_acc = _mm256_add_epi64(dot_acc, _mm256_and_si256(c, mask));
-      c = _mm256_add_epi64(c, _mm256_and_si256(weight_vec, mask));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(base + 4 * g), c);
-      select = _mm256_slli_epi64(select, 4);
-    }
-  }
-  auto dot = static_cast<std::int64_t>(reduce_epi64(dot_acc));
-  if (w < words.size()) {
-    dot += detail::scalar_accumulate_words(counts.subspan(w * 64),
-                                           words.subspan(w), weight);
-  }
-  return dot;
-}
-
 /// Plane scatter via sign-bit extraction: shifting bit b of four counts
 /// up to bit 63 turns movemask_pd into a 4-wide bit gather, so each
 /// plane word of a 64-count block assembles from 16 shift+movemask
@@ -289,7 +249,6 @@ const KernelBackend kAvx2Backend{
     .and_popcount_capped = avx2_and_popcount_capped,
     .xor_bind = avx2_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
-    .accumulate_words = avx2_accumulate_words,
     .build_planes = avx2_build_planes,
 };
 

@@ -142,11 +142,6 @@ const KernelBackend kHarleySealBackend{
     // Plain XOR is already one op per word; nothing to fold.
     .xor_bind = detail::scalar_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
-    // Masked-lane accumulation only pays with real vector units (a
-    // branchless -(bit) formulation measured ~2.5x SLOWER than the walk
-    // here — the per-lane variable shifts don't auto-vectorise on
-    // baseline targets), so the portable backend keeps the walk.
-    .accumulate_words = detail::scalar_accumulate_words,
     // The scatter is index arithmetic, not popcounts; nothing to fold.
     .build_planes = detail::scalar_build_planes,
 };

@@ -141,44 +141,6 @@ void neon_xor_bind(std::span<std::uint64_t> dst,
   }
 }
 
-/// Masked-lane accumulate, 2 x int64 at a time: the lane selector starts
-/// at {1, 2} and slides left 2 bits per pair, so one mask-word broadcast
-/// drives all 32 compares of a 64-count block; the pre-add dot rides the
-/// same pass in a vector accumulator.
-std::int64_t neon_accumulate_words(std::span<std::int64_t> counts,
-                                   std::span<const std::uint64_t> words,
-                                   std::int64_t weight) {
-  int64x2_t dot_acc = vdupq_n_s64(0);
-  const int64x2_t weight_vec = vdupq_n_s64(weight);
-  const std::size_t full = counts.size() / 64;
-  std::size_t w = 0;
-  for (; w < full && w < words.size(); ++w) {
-    const std::uint64_t bits = words[w];
-    if (bits == 0) {
-      continue;
-    }
-    std::int64_t* base = counts.data() + w * 64;
-    const uint64x2_t bcast = vdupq_n_u64(bits);
-    uint64x2_t select = vcombine_u64(vcreate_u64(1), vcreate_u64(2));
-    for (std::size_t g = 0; g < 32; ++g) {
-      const int64x2_t mask =
-          vreinterpretq_s64_u64(vceqq_u64(vandq_u64(bcast, select), select));
-      int64x2_t c = vld1q_s64(base + 2 * g);
-      dot_acc = vaddq_s64(dot_acc, vandq_s64(c, mask));
-      c = vaddq_s64(c, vandq_s64(weight_vec, mask));
-      vst1q_s64(base + 2 * g, c);
-      select = vshlq_n_u64(select, 2);
-    }
-  }
-  std::int64_t dot =
-      vgetq_lane_s64(dot_acc, 0) + vgetq_lane_s64(dot_acc, 1);
-  if (w < words.size()) {
-    dot += detail::scalar_accumulate_words(counts.subspan(w * 64),
-                                           words.subspan(w), weight);
-  }
-  return dot;
-}
-
 bool always_available() { return true; }
 
 const KernelBackend kNeonBackend{
@@ -192,7 +154,6 @@ const KernelBackend kNeonBackend{
     .and_popcount_capped = neon_and_popcount_capped,
     .xor_bind = neon_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
-    .accumulate_words = neon_accumulate_words,
     // The scatter is index arithmetic; vcnt has nothing to add.
     .build_planes = detail::scalar_build_planes,
 };

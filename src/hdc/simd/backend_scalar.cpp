@@ -17,17 +17,6 @@ std::int64_t scalar_dot_counts(std::span<const std::int64_t> counts,
   return sum;
 }
 
-std::int64_t scalar_accumulate_words(std::span<std::int64_t> counts,
-                                     std::span<const std::uint64_t> words,
-                                     std::int64_t weight) {
-  std::int64_t dot = 0;
-  kernels::for_each_set_bit_words(words, [&](std::size_t i) {
-    dot += counts[i];
-    counts[i] += weight;
-  });
-  return dot;
-}
-
 void scalar_build_planes(std::span<const std::int64_t> counts,
                          std::span<std::uint64_t> storage,
                          std::size_t words_per_plane) {
@@ -60,7 +49,6 @@ const KernelBackend kScalarBackend{
     .and_popcount_capped = detail::scalar_and_popcount_capped,
     .xor_bind = detail::scalar_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
-    .accumulate_words = detail::scalar_accumulate_words,
     .build_planes = detail::scalar_build_planes,
 };
 

@@ -118,14 +118,6 @@ inline void scalar_xor_bind(std::span<std::uint64_t> dst,
 std::int64_t scalar_dot_counts(std::span<const std::int64_t> counts,
                                std::span<const std::uint64_t> words);
 
-/// Set-bit-walk weighted accumulate — the reference for accumulate_words
-/// and the shared tail handler for the vectorised backends (it only
-/// touches counts at set-bit indices, so partial trailing blocks stay in
-/// bounds under the zero-padding invariant).
-std::int64_t scalar_accumulate_words(std::span<std::int64_t> counts,
-                                     std::span<const std::uint64_t> words,
-                                     std::int64_t weight);
-
 /// Per-count countr_zero scatter — the reference for build_planes and
 /// the shared tail handler for partial 64-count blocks.
 void scalar_build_planes(std::span<const std::int64_t> counts,

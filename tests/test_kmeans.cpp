@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -257,6 +259,104 @@ TEST(HvKMeans, ParallelUpdateMatchesSequentialReference) {
         << "reference recomputation assumes no reseed patch";
     expect_centroids_match_resum(result, data.points, weights);
   }
+}
+
+/// Seven heavily overlapping families (a third of the bits flipped) with
+/// weights 1-1000, seeded from members of only four of them: points
+/// keep moving for several iterations, in and out of every cluster.
+struct SevenClusterData {
+  std::vector<hdc::HyperVector> points;
+  std::vector<std::uint32_t> weights;
+  std::vector<std::size_t> seeds;
+};
+
+SevenClusterData make_seven_moving_clusters() {
+  util::Rng rng(71);
+  constexpr std::size_t kFamilies = 7;
+  constexpr std::size_t kPerFamily = 30;
+  constexpr std::size_t kDim = 700;
+  std::vector<hdc::HyperVector> anchors;
+  for (std::size_t f = 0; f < kFamilies; ++f) {
+    anchors.push_back(hdc::HyperVector::random(kDim, rng));
+  }
+  SevenClusterData data;
+  for (std::size_t i = 0; i < kFamilies * kPerFamily; ++i) {
+    auto point = anchors[i % kFamilies];
+    for (std::size_t f = 0; f < kDim / 3; ++f) {
+      point.flip(rng.next_below(kDim));
+    }
+    data.points.push_back(std::move(point));
+    data.weights.push_back(1 + static_cast<std::uint32_t>(rng() % 1000));
+  }
+  // Points i and i + 7 share a family: seeds 0, 7, 14 are one family.
+  data.seeds = {0, 7, 14, 1, 8, 2, 3};
+  return data;
+}
+
+TEST(HvKMeans, StagedUpdateEqualsResumAfterEveryIteration) {
+  // The bit-sliced update (moved-in rows staged, then moved-out rows,
+  // one exact delta per cluster per chunk) must leave exactly the
+  // centroids of a sequential re-sum of the assignment after every
+  // iteration count, at every pool size and serial.
+  const auto data = make_seven_moving_clusters();
+  constexpr std::size_t kIterations = 6;
+  HvKMeansConfig config{.clusters = 7, .iterations = kIterations};
+  const std::uint64_t moved = moves_after_first_iteration(
+      config, data.points, data.weights, data.seeds);
+  ASSERT_GT(moved, 20u) << "test data no longer keeps points moving";
+  for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
+    SCOPED_TRACE(threads == 0 ? std::string("SerialScope")
+                              : "threads " + std::to_string(threads));
+    util::ThreadPool pool(threads == 0 ? 4 : threads);
+    std::optional<util::SerialScope> serial;
+    if (threads == 0) {
+      serial.emplace();
+    }
+    config.pool = &pool;
+    for (std::size_t t = 1; t <= kIterations; ++t) {
+      SCOPED_TRACE("iterations " + std::to_string(t));
+      config.iterations = t;
+      const auto result =
+          HvKMeans(config).run(data.points, data.weights, data.seeds);
+      ASSERT_EQ(result.reseeds, 0u)
+          << "reference recomputation assumes no reseed patch";
+      expect_centroids_match_resum(result, data.points, data.weights);
+    }
+  }
+}
+
+TEST(HvKMeans, NormsExactWithWeightsNear2To31) {
+  // Cluster masses near 2^33 push single counts past 2^32 and the sum
+  // of squares far past 2^63: every centroid norm must still be the
+  // exact 128-bit sum of squares rounded once, and the bound filter
+  // (whose drifts then fall back to the trivial bound) must keep the
+  // exhaustive labels.
+  const auto data = make_two_clusters(6, 640, 17, 4);
+  std::vector<std::uint32_t> weights(data.points.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights[i] = i % 3 == 0 ? (1u << 31) - static_cast<std::uint32_t>(i)
+                            : 1 + static_cast<std::uint32_t>(i);
+  }
+  const std::vector<std::size_t> seeds{0, 1};
+  HvKMeansConfig config{.clusters = 2, .iterations = 5};
+  config.assign_mode = AssignMode::kAuto;
+  const auto bounded = HvKMeans(config).run(data.points, weights, seeds);
+  config.assign_mode = AssignMode::kExhaustive;
+  const auto exhaustive = HvKMeans(config).run(data.points, weights, seeds);
+  EXPECT_EQ(bounded.assignment, exhaustive.assignment);
+  __extension__ using Int128 = __int128;
+  Int128 largest = 0;
+  for (const auto& centroid : bounded.centroids) {
+    Int128 sum_squares = 0;
+    for (const std::int64_t count : centroid.counts()) {
+      sum_squares += static_cast<Int128>(count) * count;
+    }
+    largest = std::max(largest, sum_squares);
+    EXPECT_EQ(centroid.norm(), std::sqrt(static_cast<double>(sum_squares)));
+  }
+  EXPECT_GT(largest, static_cast<Int128>(1) << 64)
+      << "test data no longer overflows a 64-bit sum of squares";
+  expect_centroids_match_resum(bounded, data.points, weights);
 }
 
 TEST(HvKMeans, DeterministicAcrossThreadCounts) {

@@ -209,56 +209,6 @@ TEST(SimdBackends, KernelLayerMatchesReferenceAtNonWordDims) {
   }
 }
 
-TEST(SimdBackends, AccumulateMatchesScalarOnAdversarialSpans) {
-  // The fused centroid-accumulate kernel: every backend must produce
-  // the scalar walk's exact post-add counts AND pre-add dot, including
-  // weights > 1, negative weights (Accumulator::sub), block-boundary
-  // span lengths, and a counts vector shorter than 64 * words (partial
-  // trailing block, exercised with the padding invariant the real call
-  // sites guarantee).
-  const auto* scalar = simd::find_backend("scalar");
-  ASSERT_NE(scalar, nullptr);
-  const std::vector<std::int64_t> weights{1, 2, 7, 100000, -1, -7};
-  for (const std::size_t words : kWordCounts) {
-    auto sets = adversarial_word_sets(words);
-    // A short-counts variant: 30 fewer count slots than bits, with the
-    // top 30 bits of the last word masked to honour zero padding.
-    const std::size_t full_counts = words * 64;
-    const std::size_t short_counts =
-        words == 0 ? 0 : full_counts - 30;
-    for (std::size_t si = 0; si < sets.size(); ++si) {
-      for (const bool shorten : {false, true}) {
-        auto span_words = sets[si];
-        const std::size_t count_size = shorten ? short_counts : full_counts;
-        if (shorten && words > 0) {
-          span_words.back() &= ~std::uint64_t{0} >> 30;
-        }
-        util::Rng rng(words * 977 + si * 31 + (shorten ? 1 : 0));
-        std::vector<std::int64_t> base_counts(count_size);
-        for (auto& count : base_counts) {
-          count = static_cast<std::int64_t>(rng() % 4096) - 1024;
-        }
-        for (const std::int64_t weight : weights) {
-          auto expected_counts = base_counts;
-          const auto expected_dot = scalar->accumulate_words(
-              expected_counts, span_words, weight);
-          for (const auto* backend : available_backends()) {
-            auto got_counts = base_counts;
-            const auto got_dot =
-                backend->accumulate_words(got_counts, span_words, weight);
-            EXPECT_EQ(got_dot, expected_dot)
-                << backend->name << " words=" << words << " set=" << si
-                << " weight=" << weight << " shorten=" << shorten;
-            EXPECT_EQ(got_counts, expected_counts)
-                << backend->name << " words=" << words << " set=" << si
-                << " weight=" << weight << " shorten=" << shorten;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdBackends, AccumulatorAddIdenticalUnderEveryBackend) {
   // Through the public Accumulator API (dispatch + padding + the
   // incremental norm): weighted adds at dimensions straddling word
