@@ -21,9 +21,10 @@
 //
 // Single-image mode (--single-image WxH): ONE synthetic large image is
 // segmented repeatedly — the paper's on-device latency shape — swept
-// over --threads x --tile-rows (0 = auto), against an untiled
+// over --threads x --tile-rows (0 = the default band height; every
+// value is rounded up to whole block rows), against a one-band
 // single-thread baseline. The reported speedup is the intra-image
-// scaling the tiled encode pipeline buys.
+// scaling the banded encode buys.
 //
 // In both modes every configuration's label hash is checked against
 // the baseline; any divergence is a hard failure (exit 1) — the
@@ -142,8 +143,8 @@ int run_single_image(const util::Cli& cli, core::SegHdcConfig config,
       const core::SegHdcSession session(
           cell_config, core::SegHdcSession::Options{&pool});
       auto row = time_single(session);
-      row.name = "t" + std::to_string(threads) + "/r" +
-                 (tile_rows == 0 ? std::string("auto")
+      row.name = 't' + std::to_string(threads) + "/r" +
+                 (tile_rows == 0 ? std::string("default")
                                  : std::to_string(tile_rows));
       rows.push_back(row);
     }

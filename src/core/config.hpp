@@ -159,18 +159,16 @@ struct SegHdcConfig {
   /// distance to the runner-up centroid minus distance to the assigned
   /// one; larger = more confident). Costs one extra assignment pass.
   bool compute_margins = false;
-  /// Row height of the bands the single-image encode is tiled into —
-  /// the intra-image parallelism knob. Phase 1 of the encode builds one
-  /// dedup table per band in parallel, then merges the bands in fixed
-  /// order so unique-point IDs come out in exactly the serial row-major
-  /// first-occurrence order: labels are bit-identical for every value
-  /// at every thread count. 0 = resolve from the SEGHDC_TILE_ROWS
-  /// environment variable when set and non-zero, else auto-size from
-  /// the session pool (~4 bands per thread; one band when the pool is
-  /// single-threaded or the call runs on a serialised segment_many
-  /// worker, where tiling is pure overhead). Any value >= the image
-  /// height means one band: a serial scan with no merge table and no
-  /// relabel pass. A performance knob, never a semantics knob.
+  /// Height of the row bands the encode is cut into (cold images and
+  /// stream frames alike), rounded up to a multiple of the block height
+  /// (beta for kBlockDecayManhattan, 1 otherwise) and capped at the
+  /// image height; 0 = the default, 16 rows before rounding. Each band
+  /// builds its own dedup table in parallel. Bands cut at block
+  /// boundaries share no dedup key, so unique-point IDs come out in
+  /// exactly the serial row-major first-occurrence order: labels are
+  /// bit-identical for every value at every thread count. On a stream,
+  /// bands are also the reuse granularity. A performance knob, never a
+  /// semantics knob.
   std::size_t tile_rows = 0;
   /// Forces the process-wide span tracer (src/obs/trace.hpp) on when a
   /// session/pipeline is constructed with this config. false (the

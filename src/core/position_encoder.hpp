@@ -57,6 +57,11 @@ class PositionEncoder {
   std::size_t row_block(std::size_t i) const;
   std::size_t col_block(std::size_t j) const;
 
+  /// Side of the square pixel blocks that share one position HV, i.e.
+  /// what row_block/col_block divide by: beta for kBlockDecayManhattan,
+  /// 1 for every other encoding.
+  std::size_t block_size() const { return block_; }
+
   /// Number of distinct row/column HVs (= number of blocks).
   std::size_t distinct_rows() const { return row_ladder_.size(); }
   std::size_t distinct_cols() const { return col_ladder_.size(); }

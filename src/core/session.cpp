@@ -4,11 +4,8 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +16,6 @@
 #include "src/hdc/simd/backend.hpp"
 #include "src/imaging/color.hpp"
 #include "src/obs/trace.hpp"
-#include "src/util/cli.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/stopwatch.hpp"
 
@@ -77,6 +73,34 @@ std::uint8_t quantize_midpoint(std::uint8_t v, std::size_t shift) {
   return static_cast<std::uint8_t>(std::min<std::uint32_t>(mid, 255));
 }
 
+/// Band height when SegHdcConfig::tile_rows is 0: one block row at every
+/// paper beta (21, 26), and still several rows when blocks are tiny.
+constexpr std::size_t kDefaultBandRows = 16;
+
+/// Height of the encode's row bands, cold and stream alike: tile_rows
+/// (0 = kDefaultBandRows) rounded up to a whole number of block rows,
+/// capped at the image height. A dedup key holds its row block, so
+/// bands cut at block boundaries never share a key.
+std::size_t band_rows_for(std::size_t tile_rows,
+                          const PositionEncoder& position) {
+  const std::size_t height = position.config().rows;
+  const std::size_t block = position.block_size();
+  const std::size_t rows =
+      std::min(tile_rows != 0 ? tile_rows : kDefaultBandRows, height);
+  // (rows - 1) / block + 1: the ceil-division that cannot wrap.
+  return std::min(height, ((rows - 1) / block + 1) * block);
+}
+
+/// Copies `count` consecutive rows of `from`, starting at `from_first`,
+/// into `to` at `to_first`: one contiguous block, since an HvBlock keeps
+/// its rows back to back. `count` must be >= 1.
+void copy_rows(const hdc::HvBlock& from, std::size_t from_first,
+               hdc::HvBlock& to, std::size_t to_first, std::size_t count) {
+  const std::size_t words = from.words_per_hv();
+  std::ranges::copy(from.words().subspan(from_first * words, count * words),
+                    to.row(to_first).data());
+}
+
 /// FNV-1a over raw bytes: the fast "did this band change?" check for the
 /// stream path. Never trusted alone — a hash hit is confirmed with an
 /// exact byte compare before any cache reuse (collisions must not be
@@ -124,33 +148,33 @@ struct SegHdcSession::EncoderState {
             rng) {}
 };
 
-/// Reusable per-worker arena for encode: the row bands, the merge
-/// table, and the memoised position/color HVs. The HV caches are keyed
-/// by encoder state and survive across images of the same geometry
-/// (their values are pure functions of the state), so a worker
-/// streaming similar frames stops re-deriving the same HVs; the
-/// per-image containers are cleared (capacity retained) between calls.
+/// Reusable per-worker arena for encode: the row bands and the memoised
+/// position/color HVs. The HV caches are keyed by encoder state and
+/// survive across images of the same geometry (their values are pure
+/// functions of the state), so a worker streaming similar frames stops
+/// re-deriving the same HVs; the per-image containers are cleared
+/// (capacity retained) between calls.
 struct SegHdcSession::EncodeScratch {
   struct UniqueRef {
     std::size_t x, y;  ///< representative pixel
     std::array<std::uint8_t, 3> color;
   };
 
-  /// One row band of the encode: its local dedup table and, per local
-  /// unique point, its key (dedup only), first-occurrence ref, and
-  /// pixel weight. `remap` (local id -> global id) is filled by the
-  /// fixed band-order merge. A stream's bands also cache what reusing
-  /// them takes: the band's pixel-byte hash, its per-pixel local ids,
-  /// and its bound rows. Band-local encode outputs are pure functions of
-  /// the dedup keys (the position HV depends only on the block indices,
-  /// the color HV only on the quantised color), so an unchanged band's
-  /// cache IS its re-encode, bit for bit.
+  /// One row band of the encode, a whole number of block rows high: its
+  /// local dedup table and, per local unique point, its first-occurrence
+  /// ref and pixel weight. No dedup key is in two bands, so the band's
+  /// points are global IDs offset + local. A stream's bands also cache
+  /// what reusing them takes: the band's pixel-byte hash, its per-pixel
+  /// local ids, and its bound rows. Band-local encode outputs are pure
+  /// functions of the dedup keys (the position HV depends only on the
+  /// block indices, the color HV only on the quantised color), so an
+  /// unchanged band's cache IS its re-encode, bit for bit.
   struct Band {
     std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
-    std::vector<std::uint64_t> keys;
     std::vector<UniqueRef> refs;
     std::vector<std::uint32_t> weights;
-    std::vector<std::uint32_t> remap;
+    /// Global ID of local point 0: the unique counts of the bands above.
+    std::uint32_t offset = 0;
     /// This encode took the band from its stream cache instead of
     /// scanning it (always false on a cold encode).
     bool reused = false;
@@ -164,22 +188,13 @@ struct SegHdcSession::EncodeScratch {
 
     void begin_band(std::size_t reserve) {
       key_to_local.clear();
-      keys.clear();
       refs.clear();
       weights.clear();
       key_to_local.reserve(reserve);
     }
   };
 
-  /// Where a global unique point was first seen: its band and local id.
-  struct Origin {
-    std::uint32_t band;
-    std::uint32_t local;
-  };
-
   std::vector<Band> bands;
-  std::unordered_map<std::uint64_t, std::uint32_t> key_to_unique;
-  std::vector<Origin> origin;  ///< per global unique point
   /// Unique ratio (unique points / pixels) observed on the previous
   /// image through this arena; seeds the dedup-map reserves so low-dedup
   /// images (noise, photos) don't rehash repeatedly mid-scan. Starts at
@@ -213,14 +228,12 @@ struct SegHdcSession::EncodeScratch {
   }
 };
 
-/// Temporal state for one ordered frame stream: the band layout, pinned
-/// per geometry when the stream starts (the bands and their caches live
-/// in `scratch`), the previous frame (reuse baseline + replay trigger),
-/// the previous result (replay payload), and the previous centroids'
-/// majority snapshots (warm K-Means seeds).
+/// Temporal state for one ordered frame stream: its geometry (the band
+/// caches live in `scratch`), the previous frame (reuse baseline +
+/// replay trigger), the previous result (replay payload), and the
+/// previous centroids' majority snapshots (warm K-Means seeds).
 struct SegHdcSession::StreamState {
   std::uint64_t geometry = 0;  ///< geometry_key of the stream; 0 = none yet
-  std::size_t tile_rows = 0;
   img::ImageU8 prev_frame;
   bool has_prev = false;
   std::vector<hdc::HyperVector> prev_centroids;  ///< majority snapshots
@@ -232,7 +245,6 @@ struct SegHdcSession::StreamState {
 
   void reset() {
     geometry = 0;
-    tile_rows = 0;
     prev_frame = img::ImageU8();
     has_prev = false;
     prev_centroids.clear();
@@ -276,24 +288,6 @@ SegHdcSession::SegHdcSession(const SegHdcConfig& config,
   // is consulted (hard error on malformed values). Observational only —
   // results are bit-identical either way.
   obs::apply_trace_config(config_.trace);
-  // Tile-rows resolution order: explicit config value, else the
-  // SEGHDC_TILE_ROWS environment variable (read once here), else 0 =
-  // auto-sized per image from the pool. Purely a performance knob —
-  // outputs are bit-identical for every value.
-  tile_rows_ = config_.tile_rows;
-  if (tile_rows_ == 0) {
-    const char* env = std::getenv("SEGHDC_TILE_ROWS");
-    // Malformed values (signs, whitespace, overflow included) are hard
-    // errors, like SEGHDC_KERNEL_BACKEND: an override that silently fell
-    // back to auto would make a forced CI tiling run meaningless.
-    if (env != nullptr && *env != '\0' &&
-        util::parse_digits(env, tile_rows_) != util::Digits::kOk) {
-      throw std::invalid_argument(
-          std::string("SEGHDC_TILE_ROWS must be a non-negative integer, "
-                      "got '") +
-          env + "'");
-    }
-  }
 }
 
 SegHdcSession::~SegHdcSession() = default;
@@ -303,40 +297,6 @@ SegHdcSession::Scratch::~Scratch() = default;
 SegHdcSession::Scratch::Scratch(Scratch&&) noexcept = default;
 SegHdcSession::Scratch& SegHdcSession::Scratch::operator=(Scratch&&) noexcept =
     default;
-
-std::size_t SegHdcSession::tile_rows_for(std::size_t height) const {
-  if (tile_rows_ != 0) {
-    // Clamp to the image height so "any value >= height means one
-    // band" holds without the ceil-division in the caller overflowing
-    // on huge overrides (height + tile_rows - 1 must not wrap).
-    return std::min(tile_rows_, height);
-  }
-  // Auto: ~4 bands per pool thread for load balance. One band when the
-  // encode cannot fan out anyway — a single-thread pool, or a
-  // segment_many worker whose inner loops are pinned serial — so the
-  // hot serving path pays zero tiling overhead.
-  if (util::SerialScope::active()) {
-    return height;
-  }
-  const std::size_t threads = pool().thread_count();
-  if (threads <= 1) {
-    return height;
-  }
-  return std::max<std::size_t>(1, (height + 4 * threads - 1) / (4 * threads));
-}
-
-std::size_t SegHdcSession::stream_tile_rows_for(std::size_t height) const {
-  if (tile_rows_ != 0) {
-    return std::min(tile_rows_, height);
-  }
-  // Auto: bands of ~height/16 rows (finer when the pool wants more
-  // parallelism), so a localized frame-to-frame change dirties a few
-  // bands instead of the whole image even on a 1-thread pool.
-  const std::size_t threads =
-      util::SerialScope::active() ? 1 : pool().thread_count();
-  const std::size_t bands = std::max<std::size_t>(16, 4 * threads);
-  return std::max<std::size_t>(1, (height + bands - 1) / bands);
-}
 
 util::ThreadPool& SegHdcSession::pool() const {
   return pool_ != nullptr ? *pool_ : util::ThreadPool::shared();
@@ -430,15 +390,15 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   const std::size_t height = image.height();
   const std::size_t channels = image.channels();
   const std::size_t pixel_count = image.pixel_count();
-  const std::size_t tile_rows =
-      stream != nullptr ? stream->tile_rows : tile_rows_for(height);
-  const std::size_t tile_count = (height + tile_rows - 1) / tile_rows;
+  const std::size_t band_rows =
+      band_rows_for(config_.tile_rows, position_encoder);
+  const std::size_t band_count = (height + band_rows - 1) / band_rows;
   const bool dedup = config_.deduplicate;
   const std::size_t shift = config_.color_quantization_shift;
   const double unique_ratio = scratch.last_unique_ratio;
   auto& bands = scratch.bands;
-  if (bands.size() < tile_count) {
-    bands.resize(tile_count);
+  if (bands.size() < band_count) {
+    bands.resize(band_count);
   }
 
   // --- Step 1: scan each row band into its own dedup table, in
@@ -451,12 +411,12 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   // unchanged since the previous frame (hash hit confirmed by an exact
   // byte compare) is reused from its cache instead of scanned. ---
   pool().parallel_for(
-      0, tile_count,
+      0, band_count,
       [&](std::size_t t) {
         obs::SpanScope span("encode_band", "core", "band", t);
         auto& band = bands[t];
-        const std::size_t y_begin = t * tile_rows;
-        const std::size_t y_end = std::min(height, y_begin + tile_rows);
+        const std::size_t y_begin = t * band_rows;
+        const std::size_t y_end = std::min(height, y_begin + band_rows);
         const std::size_t band_pixels = (y_end - y_begin) * width;
         std::uint32_t* local_ids =
             encoded.pixel_to_unique.data() + y_begin * width;
@@ -494,12 +454,7 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
               const std::uint64_t key =
                   make_key(position_encoder.row_block(y),
                            position_encoder.col_block(x), color);
-              const auto [it, inserted] =
-                  band.key_to_local.try_emplace(key, local);
-              if (inserted) {
-                band.keys.push_back(key);
-              }
-              local = it->second;
+              local = band.key_to_local.try_emplace(key, local).first->second;
             }
             if (local == band.refs.size()) {  // first occurrence
               band.refs.push_back(EncodeScratch::UniqueRef{x, y, color});
@@ -513,153 +468,131 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
       },
       /*grain=*/1);
 
-  // --- Step 2: merge the bands in fixed band order. A key's global ID
-  // is assigned at its first band (bands are row-ordered and each
-  // band's locals are in row-major first-occurrence order), so IDs — and
-  // the representative refs — replicate the serial row-major scan
-  // exactly, whichever bands were scanned or reused, at every thread
-  // count and tile size. Keys repeat across bands only in a multi-band
-  // dedup encode; otherwise every local is a new ID and the merge table
-  // is skipped. Work is O(sum of band unique counts), not O(pixels). ---
-  auto& origin = scratch.origin;
-  auto& key_to_unique = scratch.key_to_unique;
-  const bool keys_repeat = dedup && tile_count > 1;
-  origin.clear();
-  key_to_unique.clear();
-  if (keys_repeat) {
-    key_to_unique.reserve(expected_unique(pixel_count, unique_ratio));
-  }
-  for (std::size_t t = 0; t < tile_count; ++t) {
+  // --- Step 2: lay the bands end to end. Every band is a whole number
+  // of block rows and every dedup key holds its row block, so no key is
+  // in two bands: band t's points are all new, numbered after the bands
+  // above it. Each band's locals are in row-major first-occurrence
+  // order, so offset + local is exactly the serial row-major scan's ID,
+  // whichever bands were scanned or reused, at every thread count. ---
+  std::size_t n_unique = 0;
+  for (std::size_t t = 0; t < band_count; ++t) {
     auto& band = bands[t];
-    band.remap.resize(band.refs.size());
-    for (std::size_t local = 0; local < band.refs.size(); ++local) {
-      const auto next = static_cast<std::uint32_t>(origin.size());
-      const std::uint32_t id =
-          keys_repeat
-              ? key_to_unique.try_emplace(band.keys[local], next).first->second
-              : next;
-      if (id == next) {
-        origin.push_back(EncodeScratch::Origin{
-            static_cast<std::uint32_t>(t), static_cast<std::uint32_t>(local)});
-        encoded.weights.push_back(0);
-      }
-      band.remap[local] = id;
-      encoded.weights[id] += band.weights[local];
-    }
+    band.offset = static_cast<std::uint32_t>(n_unique);
+    n_unique += band.refs.size();
+    encoded.weights.insert(encoded.weights.end(), band.weights.begin(),
+                           band.weights.end());
   }
-  const std::size_t n_unique = origin.size();
   // Images are validated non-empty, so pixel_count >= 1 here.
   scratch.last_unique_ratio =
       static_cast<double>(n_unique) / static_cast<double>(pixel_count);
   // Relabel each band's pixels from band-local to global IDs,
-  // band-parallel. Band 0 merges first, so its remap is the identity:
-  // in place (cold), its ids are already global.
+  // band-parallel. A cold encode's band 0 is left in place: its offset
+  // is 0, so its local ids are already global.
   pool().parallel_for(
-      0, tile_count,
+      0, band_count,
       [&](std::size_t t) {
         const auto& band = bands[t];
-        const std::size_t begin = t * tile_rows * width;
-        const std::size_t end = std::min(height, (t + 1) * tile_rows) * width;
+        const std::size_t begin = t * band_rows * width;
+        const std::size_t end = std::min(height, (t + 1) * band_rows) * width;
         std::uint32_t* out = encoded.pixel_to_unique.data() + begin;
         const std::uint32_t* local_ids =
             stream != nullptr ? band.local_ids.data() : out;
-        if (local_ids == out && t == 0) {
+        if (local_ids == out && band.offset == 0) {
           return;
         }
         for (std::size_t i = 0; i < end - begin; ++i) {
-          out[i] = band.remap[local_ids[i]];
+          out[i] = local_ids[i] + band.offset;
         }
       },
       /*grain=*/1);
 
   // --- Step 3: memoise the position and color HVs of every unique
-  // point first seen in a scanned band. Position HVs repeat across every
-  // color in a block and color HVs repeat across blocks, so each
-  // distinct HV is built exactly once per session geometry; the
-  // per-point work left over is one word-parallel XOR. ---
+  // point of a scanned band. Position HVs repeat across every color in a
+  // block and color HVs repeat across blocks, so each distinct HV is
+  // built exactly once per session geometry; the per-point work left
+  // over is one word-parallel XOR. ---
   encoded.intensities.resize(n_unique);
   auto& position_of = scratch.position_of;
   auto& color_of = scratch.color_of;
   position_of.assign(n_unique, nullptr);
   color_of.assign(n_unique, nullptr);
   std::uint64_t binds = 0;
-  for (std::size_t u = 0; u < n_unique; ++u) {
-    const auto& band = bands[origin[u].band];
-    const auto& ref = band.refs[origin[u].local];
-    encoded.intensities[u] =
-        channels == 1 ? ref.color[0]
-                      : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-    if (band.reused) {
-      continue;  // its row is copied from the band's cache below
+  for (std::size_t t = 0; t < band_count; ++t) {
+    const auto& band = bands[t];
+    for (std::size_t local = 0; local < band.refs.size(); ++local) {
+      const std::size_t u = band.offset + local;
+      const auto& ref = band.refs[local];
+      encoded.intensities[u] =
+          channels == 1 ? ref.color[0]
+                        : img::luma(ref.color[0], ref.color[1], ref.color[2]);
+      if (band.reused) {
+        continue;  // its row is copied from the band's cache in step 4
+      }
+      ++binds;
+      const std::uint64_t position_key =
+          (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
+           << 20) |
+          position_encoder.col_block(ref.x);
+      auto pos_it = scratch.position_cache.find(position_key);
+      if (pos_it == scratch.position_cache.end()) {
+        pos_it = scratch.position_cache
+                     .emplace(position_key,
+                              position_encoder.encode(ref.y, ref.x))
+                     .first;
+      }
+      position_of[u] = &pos_it->second;
+      const std::uint32_t color_key =
+          (static_cast<std::uint32_t>(ref.color[0]) << 16) |
+          (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
+      auto color_it = scratch.color_cache.find(color_key);
+      if (color_it == scratch.color_cache.end()) {
+        color_it =
+            scratch.color_cache
+                .emplace(color_key,
+                         color_encoder.encode(std::span<const std::uint8_t>(
+                             ref.color.data(), channels)))
+                .first;
+      }
+      color_of[u] = &color_it->second;
     }
-    ++binds;
-    const std::uint64_t position_key =
-        (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
-         << 20) |
-        position_encoder.col_block(ref.x);
-    auto pos_it = scratch.position_cache.find(position_key);
-    if (pos_it == scratch.position_cache.end()) {
-      pos_it = scratch.position_cache
-                   .emplace(position_key,
-                            position_encoder.encode(ref.y, ref.x))
-                   .first;
-    }
-    position_of[u] = &pos_it->second;
-    const std::uint32_t color_key =
-        (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-        (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-    auto color_it = scratch.color_cache.find(color_key);
-    if (color_it == scratch.color_cache.end()) {
-      color_it =
-          scratch.color_cache
-              .emplace(color_key,
-                       color_encoder.encode(std::span<const std::uint8_t>(
-                           ref.color.data(), channels)))
-              .first;
-    }
-    color_of[u] = &color_it->second;
   }
   // Bind position x color straight into the packed block, data-parallel
   // over unique points. No per-point HyperVector is allocated; each row
-  // is one fused XOR over cached word spans, or a copy of a reused
-  // band's row.
+  // is one fused XOR over cached word spans.
   encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
   pool().parallel_for(
       0, n_unique,
       [&](std::size_t u) {
-        const auto row = encoded.unique_hvs.row(u);
-        const auto& band = bands[origin[u].band];
-        if (band.reused) {
-          std::ranges::copy(band.hvs.row(origin[u].local), row.begin());
-        } else {
-          hdc::kernels::xor_words(row, position_of[u]->words(),
+        if (position_of[u] != nullptr) {
+          hdc::kernels::xor_words(encoded.unique_hvs.row(u),
+                                  position_of[u]->words(),
                                   color_of[u]->words());
         }
       },
       /*grain=*/64);
   encoded.ops.bind_xor_bits += binds * config_.dim;
 
-  // --- Step 4 (stream only): refresh each scanned band's cache from the
-  // merged rows, so the next frame can reuse the band. ---
+  // --- Step 4 (stream only): one contiguous block copy per band. A
+  // reused band's cached rows fill its slice of the image's rows; a
+  // scanned band's fresh rows refresh its cache for the next frame. ---
   if (stream != nullptr) {
     pool().parallel_for(
-        0, tile_count,
+        0, band_count,
         [&](std::size_t t) {
           auto& band = bands[t];
+          const std::size_t count = band.refs.size();
           if (band.reused) {
+            copy_rows(band.hvs, 0, encoded.unique_hvs, band.offset, count);
             return;
           }
-          band.hvs = hdc::HvBlock(config_.dim, band.remap.size());
-          for (std::size_t local = 0; local < band.remap.size(); ++local) {
-            std::ranges::copy(encoded.unique_hvs.row(band.remap[local]),
-                              band.hvs.row(local).begin());
-          }
+          band.hvs = hdc::HvBlock(config_.dim, count);
+          copy_rows(encoded.unique_hvs, band.offset, band.hvs, 0, count);
           band.valid = true;
         },
         /*grain=*/1);
   }
 
-  // --- Step 5: fault injection corrupts the merged rows at the
+  // --- Step 5: fault injection corrupts the image's rows at the
   // configured bit-error rate (models storing them in an approximate
   // memory). It runs after step 4 so the band caches stay clean, and
   // over every row in global order, so the sequential fault RNG stream
@@ -838,19 +771,20 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   const std::uint64_t geometry = geometry_key(frame);
   if (s.geometry != geometry) {
     // New stream, reset(), or mid-stream geometry change: drop all
-    // temporal state and pin the band layout for this geometry. With no
-    // band cache left, the frame below scans every band: the cold
-    // encode on the stream's bands.
+    // temporal state. With no band cache left, the frame below scans
+    // every band: the cold encode, on the same bands.
     const std::size_t frame_index = s.frame_index;
     s.reset();
     s.frame_index = frame_index;
     s.geometry = geometry;
-    s.tile_rows = stream_tile_rows_for(frame.height());
   }
 
+  const EncoderState& state = state_for(frame);
+  const std::size_t band_rows = band_rows_for(config_.tile_rows,
+                                              state.position);
   StreamFrameStats stats;
   stats.frame_index = s.frame_index;
-  stats.tiles_total = (frame.height() + s.tile_rows - 1) / s.tile_rows;
+  stats.tiles_total = (frame.height() + band_rows - 1) / band_rows;
 
   // Replay shortcut: segmentation is a pure function of (config, image),
   // so a frame byte-identical to its predecessor replays the cached
@@ -871,7 +805,6 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
     return StreamFrameResult{std::move(result), stats};
   }
 
-  const EncoderState& state = state_for(frame);
   const util::Stopwatch encode_watch;
   EncodedImage encoded = encode_impl(frame, state, s.scratch, &s);
   const double encode_seconds = encode_watch.seconds();

@@ -16,16 +16,17 @@
 //
 //   const auto results = session.segment_many(images);
 //
-// Inside one call, the encode is tiled into row bands (see
-// SegHdcConfig::tile_rows): the dedup scan, the weight histogram, and
-// the bind pass all parallelise across the pool, so a single large
+// Inside one call, the encode is cut into row bands of whole block rows
+// (see SegHdcConfig::tile_rows): the dedup scan, the weight histogram,
+// and the bind pass all parallelise across the pool, so a single large
 // image saturates the cores, not just batches of small ones.
 //
 // Guarantees:
 //   - `segment` is bitwise-identical to `SegHdc::segment` for the same
 //     config and image (same label maps, margins, op counts), at every
-//     pool size and tile size — the band merge reproduces the serial
-//     row-major first-occurrence order exactly.
+//     pool size and band height — no dedup key spans two bands, so the
+//     bands laid end to end give the serial row-major first-occurrence
+//     order exactly.
 //   - `segment_many` returns exactly what a sequential `segment` loop
 //     returns, for every pool size (per-image work is deterministic and
 //     images never share mutable state).
@@ -67,7 +68,7 @@ struct StreamFrameStats {
   /// True when the frame was byte-identical to its predecessor and the
   /// cached previous result was replayed without any pipeline work.
   bool replayed = false;
-  /// Row-band tiles in the stream cache layout.
+  /// Row bands in the frame's encode layout, the cold encode's bands.
   std::size_t tiles_total = 0;
   /// Bands whose pixel bytes were unchanged — dedup table and encoded
   /// HVs reused from the previous frame.
@@ -231,13 +232,13 @@ class SegHdcSession {
   /// geometry change) scans every band like a cold encode:
   /// bit-identical to `segment(frame)`, op counts included.
   /// Deterministic: the same frame sequence produces bit-identical
-  /// labels at every pool size, tile size, and kernel
+  /// labels at every pool size, band height, and kernel
   /// backend (band caches change what is recomputed, never what is
   /// computed). Thread-safe across *streams* (const session state is
   /// internally synchronised); calls on one Stream must be externally
   /// ordered. Every config streams on the band cache: with dedup off a
   /// band caches one row per pixel, and fault injection runs over the
-  /// merged rows after the caches are refreshed, so reuse never changes
+  /// image's rows after the caches are refreshed, so reuse never changes
   /// the injected faults.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
@@ -246,24 +247,17 @@ class SegHdcSession {
   /// so far — observability for tests and serving dashboards.
   std::size_t encoder_states_built() const;
 
-  /// The resolved tile-rows override: SegHdcConfig::tile_rows when
-  /// non-zero, else the SEGHDC_TILE_ROWS environment value read at
-  /// construction, else 0 (auto-size per image from the pool).
-  /// Observability for tests and bench headers; the output never
-  /// depends on it.
-  std::size_t tile_rows_override() const { return tile_rows_; }
-
  private:
   /// Returns the encoder state for the image's geometry, building and
   /// caching it on first use (thread-safe; concurrent same-geometry
   /// builds resolve to one winner).
   const EncoderState& state_for(const img::ImageU8& image) const;
 
-  /// The one encode. Cold images (stream == nullptr) scan every row
-  /// band, tiled per tile_rows_for; a stream's frames use its pinned
-  /// band layout, reuse the bands whose bytes are unchanged since the
-  /// previous frame, and refresh the caches of the rest. Output is
-  /// bit-identical either way; op counts reflect the work actually done.
+  /// The one encode, on one band layout per geometry. Cold images
+  /// (stream == nullptr) scan every row band; a stream's frames reuse
+  /// the bands whose bytes are unchanged since the previous frame and
+  /// refresh the caches of the rest. Output is bit-identical either
+  /// way; op counts reflect the work actually done.
   EncodedImage encode_impl(const img::ImageU8& image,
                            const EncoderState& state, EncodeScratch& scratch,
                            const StreamState* stream = nullptr) const;
@@ -292,22 +286,11 @@ class SegHdcSession {
   SegmentationResult finalize_impl(EncodedImage encoded,
                                    const FinalizeOptions& options) const;
 
-  /// Band height used to tile this image's encode passes (>= 1).
-  std::size_t tile_rows_for(std::size_t height) const;
-
-  /// Band height for the STREAM cache layout. Streams never collapse to
-  /// one band on small pools: bands are the reuse granularity there —
-  /// a single band can only ever reuse a byte-identical frame, which
-  /// the replay shortcut already covers. Purely a performance knob like
-  /// tile_rows_for: labels are identical for every value.
-  std::size_t stream_tile_rows_for(std::size_t height) const;
-
   EncodeScratch& shared_scratch() const;
   util::ThreadPool& pool() const;
 
   SegHdcConfig config_;
   util::ThreadPool* pool_ = nullptr;
-  std::size_t tile_rows_ = 0;  ///< resolved override; 0 = auto
   mutable std::mutex states_mutex_;
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<EncoderState>>
       states_;

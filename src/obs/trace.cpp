@@ -129,7 +129,7 @@ void apply_trace_config(bool force_on) {
   if (std::strcmp(env, "0") == 0) {
     return;  // explicit off: leave any TraceSession-enabled state alone
   }
-  // Malformed overrides are hard errors, like SEGHDC_TILE_ROWS: a trace
+  // Malformed overrides are hard errors, like SEGHDC_ASSIGN_MODE: a trace
   // run that silently recorded nothing would be worse than no run.
   throw std::invalid_argument(
       std::string("SEGHDC_TRACE must be '0' or '1', got '") + env + "'");

@@ -185,8 +185,8 @@ void emit_complete(const char* name, const char* cat, double seconds,
 /// tracing on unconditionally; otherwise SEGHDC_TRACE is read: "1"
 /// enables, "0"/unset/empty leaves the current state alone, and any
 /// other value throws std::invalid_argument (malformed observability
-/// overrides must not silently no-op, same contract as SEGHDC_TILE_ROWS
-/// and SEGHDC_KERNEL_BACKEND).
+/// overrides must not silently no-op, same contract as
+/// SEGHDC_ASSIGN_MODE and SEGHDC_KERNEL_BACKEND).
 void apply_trace_config(bool force_on);
 
 /// RAII capture window: enables tracing and clears old events on

@@ -204,7 +204,7 @@ std::future<core::SegmentationResult> SegHdcServer::enqueue(
   completion.trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   const obs::SpanScope span("submit", "serve", "req", completion.trace_id);
-  Request request{std::move(image), std::move(completion)};
+  Request request{std::move(image), std::move(completion), std::nullopt};
   if (options_.backpressure == BackpressurePolicy::kReject) {
     switch (submit_queue_.try_push(request)) {
       case util::QueuePush::kOk:

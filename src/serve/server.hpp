@@ -231,7 +231,7 @@ class SegHdcServer {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// The underlying session — read-only access for diagnostics
-  /// (encoder_states_built, tile_rows_override).
+  /// (encoder_states_built).
   const core::SegHdcSession& session() const { return session_; }
 
  private:

@@ -157,7 +157,7 @@ std::vector<std::size_t> Cli::parse_size_list(const std::string& spec,
                                               bool allow_zero) {
   // Malformed tokens and overflow are hard errors, matching the
   // no-silent-fallback convention of the forced knobs
-  // (SEGHDC_KERNEL_BACKEND, SEGHDC_TILE_ROWS): a sweep list that
+  // (SEGHDC_KERNEL_BACKEND, SEGHDC_ASSIGN_MODE): a sweep list that
   // quietly dropped "x" from "4,x,8" would run a different sweep than
   // the one the caller asked for.
   std::vector<std::size_t> values;

@@ -17,8 +17,8 @@ enum class Digits { kOk, kMalformed, kOverflow };
 /// Parses a non-empty run of decimal digits into `value`, stopping at
 /// the first non-digit (kMalformed: signs and whitespace included) or
 /// the first digit that would overflow size_t (kOverflow); `value` is
-/// meaningful only on kOk. The one digit grammar behind the size lists,
-/// `WxH` specs and the SEGHDC_TILE_ROWS override.
+/// meaningful only on kOk. The one digit grammar behind the size lists
+/// and `WxH` specs.
 Digits parse_digits(std::string_view token, std::size_t& value);
 
 /// Parsed command line. Unknown options are collected rather than rejected

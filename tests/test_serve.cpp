@@ -39,7 +39,7 @@ std::size_t test_queue_capacity() {
   if (env == nullptr || *env == '\0') {
     return 0;
   }
-  // Hard error on junk, like every other forced knob (SEGHDC_TILE_ROWS,
+  // Hard error on junk, like every other forced knob (SEGHDC_ASSIGN_MODE,
   // SEGHDC_KERNEL_BACKEND): a typo'd CI env that silently meant
   // "unbounded" would turn the forced-backpressure job into a no-op.
   char* end = nullptr;

@@ -8,7 +8,9 @@
 //     design, but the drift is bounded (permutation-invariant label
 //     agreement >= threshold on synthetic pan/jitter scenes) and the
 //     stream output is deterministic: its own golden hash holds at pool
-//     sizes {1,2,4} x tile_rows {1,3,auto} on every registered backend;
+//     sizes {1,2,4} x tile_rows {1,3,0 = default} on every registered
+//     backend; bands are whole block rows, so a change inside one block
+//     row re-encodes exactly one band;
 //   - the cold path is completely unaffected: the PR-2 golden batch
 //     hash still passes on a session that has served streams;
 //   - the server stream path (open_stream/submit) delivers exactly the
@@ -210,6 +212,49 @@ TEST(Stream, PanAndJitterStayNearColdLabels) {
   EXPECT_TRUE(any_fewer_iterations);
 }
 
+TEST(Stream, BandsAreWholeBlockRows) {
+  // A stream frame is cut like a cold image: bands of tile_rows (0 = 16)
+  // rounded up to whole block rows, capped at the height. Bands are the
+  // reuse granularity, so a change confined to one block row dirties
+  // exactly one band, however the block compares with the band height.
+  const std::size_t width = 30;
+  const std::size_t height = 60;
+  for (const std::size_t beta : {1u, 4u, 26u}) {
+    for (const std::size_t tile_rows : {0u, 5u}) {
+      SCOPED_TRACE("beta=" + std::to_string(beta) +
+                   " tile_rows=" + std::to_string(tile_rows));
+      auto config = stream_config();
+      config.beta = beta;
+      config.tile_rows = tile_rows;
+      const std::size_t rows =
+          std::min<std::size_t>(tile_rows != 0 ? tile_rows : 16, height);
+      const std::size_t band_rows =
+          std::min(height, (rows + beta - 1) / beta * beta);
+      const std::size_t bands = (height + band_rows - 1) / band_rows;
+
+      const core::SegHdcSession session(config);
+      core::SegHdcSession::Stream stream;
+      const auto background = scene_background(width, height);
+      const auto first = session.segment_stream(background, stream);
+      EXPECT_EQ(first.stats.tiles_total, bands);
+      EXPECT_EQ(first.stats.tiles_encoded, bands);
+
+      // Repaint the left half of block row 1, every one of its rows.
+      auto changed = background;
+      for (std::size_t y = beta; y < std::min(height, 2 * beta); ++y) {
+        for (std::size_t x = 0; x < width / 2; ++x) {
+          changed(x, y) = 90;
+        }
+      }
+      const auto next = session.segment_stream(changed, stream);
+      EXPECT_FALSE(next.stats.replayed);
+      EXPECT_EQ(next.stats.tiles_total, bands);
+      EXPECT_EQ(next.stats.tiles_encoded, 1u);
+      EXPECT_EQ(next.stats.tiles_reused, bands - 1);
+    }
+  }
+}
+
 TEST(Stream, ColdPathsCompletelyUnaffectedByStreamUse) {
   const auto config = stream_config();
   const core::SegHdcSession session(config);
@@ -257,7 +302,7 @@ TEST(Stream, GeometryChangeRunsColdThenResumesWarm) {
 
 // --- Golden stream hash: the warm-start path has its OWN pinned
 // labels, separate from the cold batch hash — stream results must be
-// bit-identical at every pool size, tile size, and kernel backend. ---
+// bit-identical at every pool size, band height, and kernel backend. ---
 
 /// Pinned at seed 42, dim 512: the warm-start labels of the golden
 /// frame sequence. Any drift here means the stream path's determinism
@@ -287,7 +332,7 @@ TEST(Stream, GoldenStreamHashStableAcrossTilesPoolsAndBackends) {
     }
     hdc::simd::force_backend(backend->name);
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = auto
+      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = default
         EXPECT_EQ(golden_stream_hash(threads, tile_rows), kGoldenStreamHash)
             << "stream hash drifted: backend=" << backend->name
             << " threads=" << threads << " tile_rows=" << tile_rows;
@@ -339,7 +384,7 @@ TEST(Stream, DedupOffAndFaultStreamsReuseBands) {
               0.95);
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = auto
+      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = default
         EXPECT_EQ(golden_stream_hash(threads, tile_rows, config),
                   c.golden_hash)
             << "threads=" << threads << " tile_rows=" << tile_rows;

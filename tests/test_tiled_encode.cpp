@@ -1,15 +1,15 @@
-// The tiled intra-image encode pipeline must be invisible in the
-// output: for every tile size (including ones that split bands
-// unevenly, exceed the image height, or degenerate to one row) and
-// every pool size, labels, unique-point IDs, weights, and op counts
-// must be bit-identical to the untiled serial scan — on every
-// registered kernel backend. These suites pin that guarantee on
-// tile-boundary edge geometries and on the PR-2 golden batch hash.
+// The banded intra-image encode must be invisible in the output: for
+// every band height (each rounded up to whole block rows, including
+// ones that split the image unevenly, exceed its height, or come down
+// to one block row), every position encoding and block size, and every
+// pool size, labels, unique-point IDs, weights, and op counts must be
+// bit-identical to the one-band serial scan — on every registered
+// kernel backend. These suites pin that guarantee on band-boundary
+// edge geometries and on the golden batch hash.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -71,39 +71,68 @@ void expect_encode_identical(const core::EncodedImage& expected,
 
 // The core guarantee, at encode granularity where it is strongest:
 // unique-point IDs (hence every downstream label) must replicate the
-// serial row-major first-occurrence order for every tiling, on edge
-// geometries that stress the band split — heights not divisible by
-// tile_rows, single-row and single-column images, tiles taller than
-// the image.
+// serial row-major first-occurrence order for every band height, on
+// edge geometries that stress the band split — heights ragged against
+// both the block and the band, single-row and single-column images,
+// bands taller than the image — under every position encoding whose
+// block height differs (beta for block-decay, 1 for the rest), with
+// dedup on and off and with coarse color quantisation (which makes keys
+// repeat far more often).
 TEST(TiledEncode, UniqueIdsMatchUntiledOnEdgeGeometries) {
   struct Case {
     std::size_t width, height, channels;
   };
   const std::vector<Case> cases{
-      {33, 29, 3},  // 29 % 3 != 0: ragged last band
+      {33, 29, 3},  // 29 rows: ragged against beta 3 and 7 and most bands
       {1, 40, 1},   // single column
-      {40, 1, 3},   // single row: every tile_rows > height
-      {17, 16, 1},  // even split
+      {40, 1, 3},   // single row: every band is the whole image
+      {17, 16, 1},  // one default band exactly at beta = 1
   };
-  const std::vector<std::size_t> tile_rows_values{1, 3, 5, 1000};
+  const std::vector<core::PositionEncoding> encodings{
+      core::PositionEncoding::kBlockDecayManhattan,
+      core::PositionEncoding::kManhattan,
+      core::PositionEncoding::kRandom,
+  };
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool2(2);
+  util::ThreadPool pool4(4);
   for (const auto& c : cases) {
     const auto image = textured_image(c.width, c.height, c.channels);
-    auto untiled_config = small_config();
-    untiled_config.tile_rows = c.height;  // one band: the serial scan
-    const core::SegHdcSession untiled(untiled_config);
-    const auto expected = untiled.encode(image);
-    for (const std::size_t tile_rows : tile_rows_values) {
-      for (const std::size_t threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE(std::to_string(c.width) + "x" + std::to_string(c.height) +
-                     "x" + std::to_string(c.channels) + " tile_rows=" +
-                     std::to_string(tile_rows) + " threads=" +
-                     std::to_string(threads));
-        util::ThreadPool pool(threads);
-        auto config = small_config();
-        config.tile_rows = tile_rows;
-        const core::SegHdcSession session(
-            config, core::SegHdcSession::Options{&pool});
-        expect_encode_identical(expected, session.encode(image));
+    for (const std::size_t beta : {1u, 3u, 7u}) {
+      for (const auto encoding : encodings) {
+        for (const bool dedup : {true, false}) {
+          for (const std::size_t shift : {0u, 3u}) {
+            auto base = small_config();
+            base.beta = beta;
+            base.position_encoding = encoding;
+            base.deduplicate = dedup;
+            base.color_quantization_shift = shift;
+            auto untiled_config = base;
+            untiled_config.tile_rows = c.height;  // one band: the serial scan
+            const auto expected =
+                core::SegHdcSession(untiled_config).encode(image);
+            for (const std::size_t tile_rows :
+                 {std::size_t{0}, std::size_t{1}, std::size_t{5}, beta + 1,
+                  c.height, std::numeric_limits<std::size_t>::max()}) {
+              for (util::ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+                SCOPED_TRACE(
+                    std::to_string(c.width) + "x" + std::to_string(c.height) +
+                    "x" + std::to_string(c.channels) +
+                    " beta=" + std::to_string(beta) + " encoding=" +
+                    std::to_string(static_cast<int>(encoding)) +
+                    " dedup=" + std::to_string(dedup) +
+                    " shift=" + std::to_string(shift) +
+                    " tile_rows=" + std::to_string(tile_rows) +
+                    " threads=" + std::to_string(pool->thread_count()));
+                auto config = base;
+                config.tile_rows = tile_rows;
+                const core::SegHdcSession session(
+                    config, core::SegHdcSession::Options{pool});
+                expect_encode_identical(expected, session.encode(image));
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -115,7 +144,7 @@ TEST(TiledEncode, FullPipelineLabelsMatchUntiled) {
   untiled_config.compute_margins = true;
   untiled_config.tile_rows = image.height();
   const auto expected = core::SegHdcSession(untiled_config).segment(image);
-  for (const std::size_t tile_rows : {1u, 4u, 9u, 0u}) {  // 0 = auto
+  for (const std::size_t tile_rows : {1u, 4u, 9u, 0u}) {  // 0 = default
     for (const std::size_t threads : {1u, 2u, 4u}) {
       SCOPED_TRACE("tile_rows=" + std::to_string(tile_rows) + " threads=" +
                    std::to_string(threads));
@@ -131,20 +160,6 @@ TEST(TiledEncode, FullPipelineLabelsMatchUntiled) {
       EXPECT_EQ(actual.cluster_pixel_counts, expected.cluster_pixel_counts);
     }
   }
-}
-
-TEST(TiledEncode, NoDedupPathMatchesUntiled) {
-  const auto image = textured_image(21, 13, 3);
-  auto untiled_config = small_config();
-  untiled_config.deduplicate = false;
-  untiled_config.tile_rows = image.height();
-  const auto expected = core::SegHdcSession(untiled_config).encode(image);
-  util::ThreadPool pool(3);
-  auto config = untiled_config;
-  config.tile_rows = 2;
-  const core::SegHdcSession session(config,
-                                    core::SegHdcSession::Options{&pool});
-  expect_encode_identical(expected, session.encode(image));
 }
 
 TEST(TiledEncode, RepeatedCallsReuseArenaWithoutDrift) {
@@ -169,73 +184,10 @@ TEST(TiledEncode, RepeatedCallsReuseArenaWithoutDrift) {
   EXPECT_EQ(first.unique_points, second.unique_points);
 }
 
-TEST(TiledEncode, TileRowsResolutionOrder) {
-  // Explicit config beats the environment; the environment fills in
-  // when the config leaves tile_rows at 0; 0/unset means auto. A
-  // malformed environment value is a hard error (like
-  // SEGHDC_KERNEL_BACKEND), never a silent fallback.
-  const char* original = std::getenv("SEGHDC_TILE_ROWS");
-  const std::string saved = original != nullptr ? original : "";
-
-  auto config = small_config();
-  ::setenv("SEGHDC_TILE_ROWS", "2", 1);
-  EXPECT_EQ(core::SegHdcSession(config).tile_rows_override(), 2u);
-  config.tile_rows = 7;
-  EXPECT_EQ(core::SegHdcSession(config).tile_rows_override(), 7u);
-
-  ::setenv("SEGHDC_TILE_ROWS", "not-a-number", 1);
-  config.tile_rows = 0;
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
-  ::setenv("SEGHDC_TILE_ROWS", "-1", 1);
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
-  ::setenv("SEGHDC_TILE_ROWS", "3junk", 1);
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
-  ::setenv("SEGHDC_TILE_ROWS", " -1", 1);  // strtoull would skip+wrap
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
-  ::setenv("SEGHDC_TILE_ROWS", "+2", 1);  // sign also rejected
-  EXPECT_THROW(core::SegHdcSession{config}, std::invalid_argument);
-  ::setenv("SEGHDC_TILE_ROWS", "99999999999999999999999", 1);  // overflow
-  try {
-    core::SegHdcSession session(config);
-    ADD_FAILURE() << "an overflowing SEGHDC_TILE_ROWS was accepted";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_STREQ(error.what(),
-                 "SEGHDC_TILE_ROWS must be a non-negative integer, got "
-                 "'99999999999999999999999'");
-  }
-  config.tile_rows = 7;  // explicit config short-circuits the bad env
-  EXPECT_EQ(core::SegHdcSession(config).tile_rows_override(), 7u);
-
-  ::unsetenv("SEGHDC_TILE_ROWS");
-  config.tile_rows = 0;
-  EXPECT_EQ(core::SegHdcSession(config).tile_rows_override(), 0u);
-
-  if (original != nullptr) {
-    ::setenv("SEGHDC_TILE_ROWS", saved.c_str(), 1);
-  }
-}
-
-TEST(TiledEncode, HugeTileRowsClampToOneBand) {
-  // Values wildly above the image height (including SIZE_MAX, which
-  // would overflow a naive ceil-division) mean exactly one band.
-  const auto image = textured_image(19, 11, 1);
-  auto untiled_config = small_config();
-  untiled_config.tile_rows = image.height();
-  const auto expected = core::SegHdcSession(untiled_config).encode(image);
-  for (const std::size_t tile_rows :
-       {std::size_t{12}, std::size_t{1} << 40,
-        std::numeric_limits<std::size_t>::max()}) {
-    auto config = small_config();
-    config.tile_rows = tile_rows;
-    expect_encode_identical(expected,
-                            core::SegHdcSession(config).encode(image));
-  }
-}
-
 // --- Golden gate (mirrors tests/test_session.cpp and
 // tests/test_simd_backends.cpp): the PR-2 batch label hash must be
-// bit-identical at pool sizes 1/2/4 and tile_rows in {1, 3, auto}, on
-// every registered kernel backend. ---
+// bit-identical at pool sizes 1/2/4 and tile_rows in {1, 3, 0 = the
+// default}, on every registered kernel backend. ---
 
 img::ImageU8 golden_gray_card(std::size_t size, std::uint8_t bg,
                               std::uint8_t fg) {
@@ -301,7 +253,7 @@ TEST(TiledEncode, GoldenBatchHashStableAcrossTilesPoolsAndBackends) {
     }
     hdc::simd::force_backend(backend->name);
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = auto
+      for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = default
         EXPECT_EQ(golden_batch_hash(threads, tile_rows), kGoldenBatchHash)
             << "hash drifted: backend=" << backend->name
             << " threads=" << threads << " tile_rows=" << tile_rows;
