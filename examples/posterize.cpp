@@ -1,9 +1,10 @@
-// Posterize: large-K palette mapping as a segmentation workload — the
-// regime the candidate-pruned assignment path was built for. Clusters a
-// colorful image into K palette entries, runs the SAME problem once with
-// exhaustive assignment and once with pruning forced, and hard-fails
-// (exit 1) if the label maps differ anywhere: pruning is an exactness
-// contract, not an approximation.
+// Posterize: large-K palette mapping as a segmentation workload.
+// Clusters a colorful image into K palette entries, runs the SAME
+// problem once with exhaustive assignment and once with the default
+// kAuto (the exact triangle-inequality bound filter), and hard-fails
+// (exit 1) if the label maps differ anywhere: the filter is an exactness
+// contract, not an approximation. It prints the fraction of
+// (point, centroid) pairs the filter skipped.
 //
 //   ./posterize [input.ppm] [--output posterized.ppm] [--clusters 16]
 //               [--dim 2000] [--iterations 6] [--seed 42]
@@ -113,35 +114,35 @@ int main(int argc, char** argv) try {
       static_cast<std::size_t>(cli.get_int("iterations", 6));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
-  // Same problem, both assignment modes. The pruned run is the one we
+  // Same problem, both assignment modes. The kAuto run is the one we
   // keep; the exhaustive run is the ground truth it must match bit for
   // bit (same tie-breaking: lowest cluster index wins).
   config.assign_mode = core::AssignMode::kExhaustive;
   const core::SegHdcSession exhaustive_session(config);
   const auto exhaustive = exhaustive_session.segment(image);
 
-  config.assign_mode = core::AssignMode::kPruned;
-  const core::SegHdcSession pruned_session(config);
-  const auto pruned = pruned_session.segment(image);
+  config.assign_mode = core::AssignMode::kAuto;
+  const core::SegHdcSession auto_session(config);
+  const auto filtered = auto_session.segment(image);
 
-  if (exhaustive.labels != pruned.labels) {
+  if (exhaustive.labels != filtered.labels) {
     std::fprintf(stderr,
-                 "FAIL: pruned labels diverge from exhaustive assignment\n");
+                 "FAIL: auto labels diverge from exhaustive assignment\n");
     return 1;
   }
   const auto candidate_pairs =
-      pruned.ops.distance_evals + pruned.ops.candidates_pruned;
-  std::printf("pruned == exhaustive (%zu unique points, %zu iterations); "
-              "pruning skipped %.1f%% of %llu candidate pairs\n",
-              pruned.unique_points, pruned.iterations_run,
+      filtered.ops.distance_evals + filtered.ops.candidates_pruned;
+  std::printf("auto == exhaustive (%zu unique points, %zu iterations); "
+              "the bound filter skipped %.1f%% of %llu candidate pairs\n",
+              filtered.unique_points, filtered.iterations_run,
               candidate_pairs == 0
                   ? 0.0
                   : 100.0 *
-                        static_cast<double>(pruned.ops.candidates_pruned) /
+                        static_cast<double>(filtered.ops.candidates_pruned) /
                         static_cast<double>(candidate_pairs),
               static_cast<unsigned long long>(candidate_pairs));
 
-  img::write_ppm(palette_map(image, pruned.labels, pruned.clusters),
+  img::write_ppm(palette_map(image, filtered.labels, filtered.clusters),
                  output);
   std::printf("wrote %s\n", output.c_str());
   return 0;

@@ -72,27 +72,22 @@ enum class ClusterDistance {
   kHamming,
 };
 
-/// K-Means assignment strategy. Every mode produces bit-identical
-/// assignments (each skip is EXACT — chord bounds, norm bounds and
-/// early-exit kernels only skip pairs that provably cannot win, with
-/// ties still broken by the lowest index); the choice is purely a
-/// performance knob.
+/// K-Means assignment strategy. Both modes produce bit-identical
+/// assignments (the bound filter only skips pairs that provably cannot
+/// win, with ties still broken by the lowest index); the choice is
+/// purely a performance knob.
 enum class AssignMode {
-  /// Prune per candidate when clusters >= the clusterer's
-  /// prune_min_clusters threshold. Below it, the cosine scan runs
-  /// behind Elkan's triangle-inequality bounds, which skip the points
-  /// whose nearest centroid provably cannot change (the Hamming
-  /// ablation scans exhaustively). Defers to the SEGHDC_ASSIGN_MODE
-  /// environment variable when it is set ("auto", "exhaustive",
-  /// "pruned"; anything else is a hard error).
+  /// The cosine scan runs behind Elkan's triangle-inequality bounds at
+  /// every cluster count, skipping the points whose nearest centroid
+  /// provably cannot change and the candidates that provably lose (the
+  /// Hamming ablation scans exhaustively). Defers to the
+  /// SEGHDC_ASSIGN_MODE environment variable when it is set ("auto",
+  /// "exhaustive"; anything else is a hard error).
   kAuto,
-  /// Always scan every centroid with full-length kernels: the
-  /// reference the other modes are tested against.
+  /// Always scan every centroid with full-length kernels: the reference
+  /// kAuto is tested against. Allocates no bounds, so it is the
+  /// memory-lean choice for large K (see docs/TUNING.md).
   kExhaustive,
-  /// Always run norm-bound candidate pruning + early-exit bounded
-  /// kernels, regardless of cluster count. At small K this is now
-  /// slower than kAuto's bound filter.
-  kPruned,
 };
 
 /// Full SegHDC pipeline configuration.
@@ -130,10 +125,9 @@ struct SegHdcConfig {
   /// Clustering distance (paper: cosine, Eq. 7).
   ClusterDistance cluster_distance = ClusterDistance::kCosine;
   /// K-Means assignment strategy (see AssignMode). kAuto (the default)
-  /// prunes at large cluster counts, filters with chord bounds below
-  /// them, and defers to SEGHDC_ASSIGN_MODE when set; all modes are
-  /// bit-identical, so this is a performance knob, never a semantics
-  /// knob.
+  /// filters with chord bounds and defers to SEGHDC_ASSIGN_MODE when
+  /// set; both modes are bit-identical, so this is a performance knob,
+  /// never a semantics knob.
   AssignMode assign_mode = AssignMode::kAuto;
   /// Deduplicate pixels sharing (position block, color) before
   /// clustering. Exactly equivalent to per-pixel clustering (weighted

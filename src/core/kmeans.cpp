@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "src/obs/trace.hpp"
 #include "src/util/contracts.hpp"
@@ -97,6 +96,8 @@ AssignTally for_each_point(util::ThreadPool& pool, std::size_t n,
 // the exhaustive argmin picks a, whatever its lowest-index tie rule.
 // Exact ties and near-ties never pass the test, so they are always
 // evaluated. The same test drops single candidates from a partial scan.
+// The test reads one bound per centroid, so the filter pays at every K:
+// it replaces a d-bit dot per skipped pair with a few double compares.
 // ---
 constexpr double kChordSlack = 1e-7;
 constexpr double kChordMargin = 1e-6;
@@ -156,7 +157,7 @@ HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
   // Assignment-mode resolution order mirrors the other knobs (config >
   // environment > auto), with malformed overrides a hard error — a
   // forced CI assignment mode that silently fell back would make the
-  // pruned-vs-exhaustive matrix meaningless.
+  // filter-vs-exhaustive matrix meaningless.
   resolved_assign_mode_ = config_.assign_mode;
   if (resolved_assign_mode_ == AssignMode::kAuto) {
     const char* env = std::getenv("SEGHDC_ASSIGN_MODE");
@@ -164,12 +165,10 @@ HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
       const std::string_view value(env);
       if (value == "exhaustive") {
         resolved_assign_mode_ = AssignMode::kExhaustive;
-      } else if (value == "pruned") {
-        resolved_assign_mode_ = AssignMode::kPruned;
       } else if (value != "auto") {
         throw std::invalid_argument(
             std::string("SEGHDC_ASSIGN_MODE must be one of "
-                        "auto|exhaustive|pruned, got '") +
+                        "auto|exhaustive, got '") +
             env + "'");
       }
     }
@@ -259,48 +258,26 @@ HvKMeansResult HvKMeans::run_impl(
 
   init_centroids(result.centroids);
 
-  // Cached per-point popcounts and norms: the raw popcount is the
-  // Hamming norm bound of the pruned assignment, its sqrt the cosine
-  // point norm.
-  std::vector<std::uint32_t> point_pop(n);
+  // Cached per-point cosine norms: sqrt(popcount).
   std::vector<double> point_norm(n);
   pool.parallel_for(
       0, n,
       [&](std::size_t i) {
-        const std::size_t pop = points.popcount(i);
-        point_pop[i] = static_cast<std::uint32_t>(pop);
-        point_norm[i] = std::sqrt(static_cast<double>(pop));
+        point_norm[i] = std::sqrt(static_cast<double>(points.popcount(i)));
       },
       /*grain=*/256);
   result.ops.popcount_bits += static_cast<std::uint64_t>(n) * dim;
 
-  const bool pruned_assign =
-      resolved_assign_mode_ == AssignMode::kPruned ||
-      (resolved_assign_mode_ == AssignMode::kAuto &&
-       k >= config_.prune_min_clusters);
-  result.pruned_assignment = pruned_assign;
-  // kAuto below the pruning threshold puts the exact chord-bound filter
-  // in front of the exhaustive cosine scan.
+  // kAuto puts the exact chord-bound filter in front of the exhaustive
+  // cosine scan at every K; the Hamming ablation always scans
+  // exhaustively.
   const bool bounded_assign = resolved_assign_mode_ == AssignMode::kAuto &&
-                              !pruned_assign &&
                               config_.distance == ClusterDistance::kCosine;
   // One backend resolve for the whole run; every distance scan below
   // goes through this vtable reference instead of re-dispatching per
   // (point, centroid) pair.
   const hdc::simd::KernelBackend& backend = hdc::simd::active_backend();
   const std::size_t wph = points.words_per_hv();
-  // Pruned-mode per-iteration candidate tables (storage reused across
-  // iterations): centroid indices sorted by popcount for Hamming,
-  // per-centroid dot upper bounds for cosine.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sorted_pops;
-  std::vector<std::int64_t> centroid_count_sum;
-  if (pruned_assign) {
-    if (config_.distance == ClusterDistance::kHamming) {
-      sorted_pops.resize(k);
-    } else {
-      centroid_count_sum.resize(k);
-    }
-  }
 
   // Update-step state: one bank of k accumulators per chunk of points.
   // Banks persist across iterations, each the exact integer sum of its
@@ -425,11 +402,11 @@ HvKMeansResult HvKMeans::run_impl(
     // --- Assignment step (data parallel over block rows; fused
     // word-span kernels, no per-point HyperVector temporaries). The
     // distance-mode and assign-mode branches are hoisted out of the
-    // inner loops: each iteration selects one of five loop bodies
-    // (exhaustive/pruned x Hamming/cosine, and the bound-filtered
-    // cosine) up front. All five produce bit-identical assignments — the
-    // pruned and bounded bodies only skip candidates they can PROVE lose
-    // the argmin, index tie-break included. Every body counts the
+    // inner loops: each iteration selects one of three loop bodies
+    // (exhaustive Hamming, exhaustive cosine, and the bound-filtered
+    // cosine) up front. The filtered body produces the exhaustive
+    // assignment bit for bit — it only skips candidates it can PROVE
+    // lose the argmin, index tie-break included. Every body counts the
     // kernels it actually ran. ---
     AssignTally tally;
     {
@@ -442,7 +419,7 @@ HvKMeansResult HvKMeans::run_impl(
         }
         distance_to_own[i] = best;
       };
-      if (!pruned_assign && config_.distance == ClusterDistance::kHamming) {
+      if (config_.distance == ClusterDistance::kHamming) {
         tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
           const auto point = points.row(i);
           std::size_t best = std::numeric_limits<std::size_t>::max();
@@ -519,7 +496,7 @@ HvKMeansResult HvKMeans::run_impl(
           upper = chord_of(best) + kChordSlack;
           commit(i, best_cluster, best, t);
         });
-      } else if (!pruned_assign) {
+      } else {
         tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
           const auto point = points.row(i);
           const double pn = point_norm[i];
@@ -534,207 +511,6 @@ HvKMeansResult HvKMeans::run_impl(
           }
           commit(i, best_cluster, best, t);
         });
-      } else if (config_.distance == ClusterDistance::kHamming) {
-        // Candidate table: centroid indices sorted by (popcount, index).
-        // |popcount(x) - popcount(c)| <= hamming(x, c), so scanning
-        // outward from the point's own popcount visits candidates in
-        // non-decreasing lower-bound order per side — once a side's
-        // bound exceeds the best distance, the rest of that side is
-        // pruned wholesale.
-        for (std::size_t c = 0; c < k; ++c) {
-          sorted_pops[c] = {static_cast<std::uint32_t>(
-                                backend.popcount(binary_centroid_rows[c])),
-                            static_cast<std::uint32_t>(c)};
-        }
-        std::sort(sorted_pops.begin(), sorted_pops.end());
-        tally = for_each_point(
-            pool, n,
-            [&](std::size_t i, AssignTally& t) {
-              const auto point = points.row(i);
-              const std::size_t px = point_pop[i];
-              constexpr std::size_t kUnset =
-                  std::numeric_limits<std::size_t>::max();
-              std::size_t best = kUnset;
-              std::uint32_t best_cluster = 0;
-              const auto gap_of = [&](std::size_t pc) {
-                return pc > px ? pc - px : px - pc;
-              };
-              // Two-pointer outward scan from the insertion point of px
-              // in the sorted table: [0, l) pending on the left, [r, k)
-              // on the right.
-              std::size_t r = static_cast<std::size_t>(
-                  std::lower_bound(
-                      sorted_pops.begin(), sorted_pops.end(),
-                      std::pair<std::uint32_t, std::uint32_t>{
-                          static_cast<std::uint32_t>(px), 0}) -
-                  sorted_pops.begin());
-              std::size_t l = r;
-              while (l > 0 || r < k) {
-                const std::size_t gl =
-                    l > 0 ? gap_of(sorted_pops[l - 1].first) : kUnset;
-                const std::size_t gr =
-                    r < k ? gap_of(sorted_pops[r].first) : kUnset;
-                const bool take_left = gl <= gr;
-                const std::size_t gap = take_left ? gl : gr;
-                const std::uint32_t c = take_left ? sorted_pops[l - 1].second
-                                                  : sorted_pops[r].second;
-                if (best != kUnset) {
-                  if (gap > best) {
-                    // Everything further out on this side is strictly
-                    // worse than best: drop the side wholesale.
-                    t.pruned += take_left ? l : k - r;
-                    if (take_left) {
-                      l = 0;
-                    } else {
-                      r = k;
-                    }
-                    continue;
-                  }
-                  if (gap == best && c >= best_cluster) {
-                    // Distance >= gap == best, and a tie at best can
-                    // only matter for a lower index: cannot win. The
-                    // side stays open — a lower index may still follow
-                    // at the same gap.
-                    ++t.pruned;
-                    if (take_left) {
-                      --l;
-                    } else {
-                      ++r;
-                    }
-                    continue;
-                  }
-                }
-                // bound = best rejects dist >= best (a win needs strict
-                // <); +1 when c < best_cluster, which can still win an
-                // index tie at exactly best.
-                const std::size_t bound =
-                    best == kUnset ? kUnset
-                                   : (c < best_cluster ? best + 1 : best);
-                const auto scan = backend.hamming_bounded(
-                    binary_centroid_rows[c], point, bound);
-                t.words += scan.words_scanned;
-                if (scan.value < bound) {
-                  // One-sided contract: value < bound means the scan
-                  // completed and value is the exact distance.
-                  ++t.evals;
-                  ++t.kernel_evals;
-                  if (best == kUnset || scan.value < best ||
-                      (scan.value == best && c < best_cluster)) {
-                    best = scan.value;
-                    best_cluster = c;
-                  }
-                } else {
-                  ++t.pruned;
-                }
-                if (take_left) {
-                  --l;
-                } else {
-                  ++r;
-                }
-              }
-              commit(i, best_cluster, static_cast<double>(best), t);
-            });
-      } else {
-        // Per-centroid dot upper bounds for the cheap skip: dot(x, c)
-        // <= min(sum of c's counts, (2^planes_c - 1) * popcount(x)).
-        for (std::size_t c = 0; c < k; ++c) {
-          std::int64_t sum = 0;
-          for (std::size_t b = 0; b < centroid_planes[c].plane_count();
-               ++b) {
-            sum += static_cast<std::int64_t>(
-                       backend.popcount(centroid_planes[c].plane(b)))
-                   << b;
-          }
-          centroid_count_sum[c] = sum;
-        }
-        tally = for_each_point(
-            pool, n,
-            [&](std::size_t i, AssignTally& t) {
-              const auto point = points.row(i);
-              const double pn = point_norm[i];
-              const auto px = static_cast<std::int64_t>(point_pop[i]);
-              double best = std::numeric_limits<double>::infinity();
-              std::uint32_t best_cluster = 0;
-              // Index order, strict < updates: identical tie semantics
-              // to the exhaustive loop by construction — every skip
-              // below only drops candidates whose distance provably
-              // fails `dist < best`.
-              for (std::size_t c = 0; c < k; ++c) {
-                const double cn = centroid_norm[c];
-                if (cn == 0.0 || pn == 0.0) {
-                  // Zero-norm shortcut, exactly cosine_distance_planes'.
-                  ++t.evals;
-                  if (1.0 < best) {
-                    best = 1.0;
-                    best_cluster = static_cast<std::uint32_t>(c);
-                  }
-                  continue;
-                }
-                const bool have_best =
-                    best < std::numeric_limits<double>::infinity();
-                if (have_best) {
-                  // Cheap exact skip: evaluate the shared float
-                  // expression at a dot that can only be larger than
-                  // the true one — the expression is weakly antitone in
-                  // the dot, so distance(upper) >= best implies
-                  // distance(dot) >= best.
-                  std::int64_t upper = centroid_count_sum[c];
-                  const std::size_t planes_c =
-                      centroid_planes[c].plane_count();
-                  if (planes_c < 40) {
-                    upper = std::min(
-                        upper, ((std::int64_t{1} << planes_c) - 1) * px);
-                  }
-                  if (hdc::kernels::cosine_distance_from_dot(upper, cn,
-                                                             pn) >= best) {
-                    ++t.pruned;
-                    continue;
-                  }
-                }
-                // In-kernel prune threshold: the largest integer dot
-                // that still cannot beat best under the shared float
-                // expression. Start at the real-arithmetic crossover
-                // and nudge down until the expression itself concedes;
-                // bail out (scan uncapped, still exact) if rounding
-                // pathologies drag the search out.
-                std::int64_t max_useful = -1;
-                if (have_best) {
-                  const double crossover = (1.0 - best) * (pn * cn);
-                  if (crossover >= 0.0 && crossover < 9.0e18) {
-                    auto m = static_cast<std::int64_t>(crossover);
-                    int steps = 0;
-                    while (m >= 0 && hdc::kernels::cosine_distance_from_dot(
-                                         m, cn, pn) < best) {
-                      --m;
-                      if (++steps > 64) {
-                        m = -1;
-                        break;
-                      }
-                    }
-                    max_useful = m;
-                  }
-                }
-                const auto scan = hdc::kernels::dot_planes_bounded(
-                    centroid_planes[c], point,
-                    static_cast<std::size_t>(px), max_useful, backend);
-                t.words += scan.words_scanned;
-                if (scan.pruned) {
-                  // True dot <= max_useful, so its distance >= best:
-                  // the exhaustive loop would not have updated either.
-                  ++t.pruned;
-                  continue;
-                }
-                ++t.evals;
-                ++t.kernel_evals;
-                const double dist = hdc::kernels::cosine_distance_from_dot(
-                    scan.dot, cn, pn);
-                if (dist < best) {
-                  best = dist;
-                  best_cluster = static_cast<std::uint32_t>(c);
-                }
-              }
-              commit(i, best_cluster, best, t);
-            });
       }
       result.ops.distance_evals += tally.evals;
       result.ops.candidates_pruned += tally.pruned;
@@ -925,26 +701,34 @@ std::vector<std::size_t> largest_color_difference_seeds(
   seeds.push_back(max_index);
   seeds.push_back(min_index);
 
-  // Remaining seeds: farthest-point sampling on intensity.
+  // Remaining seeds: farthest-point sampling on intensity. gap[i] is
+  // point i's smallest intensity gap to a chosen seed, or -1 once i is
+  // chosen, so it is never picked again (when every unchosen gap is 0
+  // the lowest unchosen index wins). Each pass folds the seeds chosen
+  // since the last pass into gap and picks the next seed in the same
+  // sweep, so K = 3 makes one pass and no pass follows the last seed.
+  const auto level = [&](std::size_t i) {
+    return static_cast<int>(intensities[i]);
+  };
+  std::vector<int> gap(clusters > 2 ? intensities.size() : 0,
+                       std::numeric_limits<int>::max());
+  std::size_t folded = 0;
   while (seeds.size() < clusters) {
+    for (std::size_t s = folded; s < seeds.size(); ++s) {
+      gap[seeds[s]] = -1;
+    }
     std::size_t best_index = 0;
     int best_gap = -1;
     for (std::size_t i = 0; i < intensities.size(); ++i) {
-      int gap = std::numeric_limits<int>::max();
-      bool already = false;
-      for (const std::size_t s : seeds) {
-        if (s == i) {
-          already = true;
-          break;
-        }
-        gap = std::min(gap, std::abs(static_cast<int>(intensities[i]) -
-                                     static_cast<int>(intensities[s])));
+      for (std::size_t s = folded; s < seeds.size(); ++s) {
+        gap[i] = std::min(gap[i], std::abs(level(i) - level(seeds[s])));
       }
-      if (!already && gap > best_gap) {
-        best_gap = gap;
+      if (gap[i] > best_gap) {
+        best_gap = gap[i];
         best_index = i;
       }
     }
+    folded = seeds.size();
     seeds.push_back(best_index);
   }
   return seeds;

@@ -25,20 +25,16 @@
 // The banks then merge in fixed order — integer sums are
 // order-independent, so the centroids equal a from-scratch re-sum and
 // are bit-identical for every thread count; (4) the assignment skips
-// work it can prove does not change the argmin. Below the pruning
-// threshold (the paper's K = 2/3) each point keeps Elkan's
-// triangle-inequality bounds in chord units, |x^ - c^| =
-// sqrt(2 * cosine distance): an upper bound to its own centroid and a
-// lower bound per centroid, moved each iteration by the centroid's
-// drift. A point whose bounds separate by a margin keeps its cluster
-// with no dot product; otherwise it computes its own distance first and
-// the other distances only if that does not settle it. At large cluster
-// counts the assignment instead prunes candidates per point (norm
-// bounds plus early-exit bounded kernels that abort a scan once the
-// running distance loses to the best so far). Both are EXACT: ties are
-// still broken by the lowest index, so every path is bit-identical to
-// the exhaustive scan and rides the same golden hashes (see AssignMode
-// and the error budget in kmeans.cpp).
+// work it can prove does not change the argmin. At every cluster count
+// each point keeps Elkan's triangle-inequality bounds in chord units,
+// |x^ - c^| = sqrt(2 * cosine distance): an upper bound to its own
+// centroid and a lower bound per centroid, moved each iteration by the
+// centroid's drift. A point whose bounds separate by a margin keeps its
+// cluster with no dot product; otherwise it computes its own distance
+// first and then only the distances its bounds leave open. The filter
+// is EXACT: ties are still broken by the lowest index, so it is
+// bit-identical to the exhaustive scan and rides the same golden hashes
+// (see AssignMode and the error budget in kmeans.cpp).
 #ifndef SEGHDC_CORE_KMEANS_HPP
 #define SEGHDC_CORE_KMEANS_HPP
 
@@ -60,23 +56,18 @@ struct HvKMeansConfig {
   std::size_t clusters = 2;
   std::size_t iterations = 10;
   ClusterDistance distance = ClusterDistance::kCosine;
-  /// Assignment strategy (see core::AssignMode). kAuto prunes when
-  /// clusters >= prune_min_clusters, runs the cosine scan behind the
-  /// triangle-inequality bound filter below it, and defers to the
+  /// Assignment strategy (see core::AssignMode). kAuto runs the cosine
+  /// scan behind the triangle-inequality bound filter at every K (the
+  /// Hamming ablation scans exhaustively) and defers to the
   /// SEGHDC_ASSIGN_MODE environment variable when set (resolved once at
   /// construction; unknown values are hard errors). Every skip is EXACT:
-  /// the bounds, norm bounds and early-exit bounded kernels only skip
-  /// pairs that provably cannot win the argmin — including index
-  /// tie-breaks — so assignments, centroids, and convergence behaviour
-  /// are bit-identical in every mode, at every backend and pool size.
-  /// kExhaustive is the reference the others are tested against.
+  /// the bounds only skip pairs that provably cannot win the argmin —
+  /// including index tie-breaks — so assignments, centroids, and
+  /// convergence behaviour are bit-identical in both modes, at every
+  /// backend and pool size. kExhaustive is the reference kAuto is
+  /// tested against; it allocates no bounds (the filter keeps
+  /// points * (clusters + 1) doubles).
   AssignMode assign_mode = AssignMode::kAuto;
-  /// kAuto threshold: prune per candidate when clusters >= this, else
-  /// run the bound filter (cosine; the Hamming ablation scans
-  /// exhaustively). At very small K the per-point candidate ordering
-  /// costs more than the scans it skips; from roughly this K up the
-  /// pruned scan wins and keeps widening (see bench_assign).
-  std::size_t prune_min_clusters = 8;
   /// Stop as soon as an assignment step changes no point (the paper runs
   /// a fixed budget but observes saturation by iteration ~4; with this
   /// flag the clusterer banks that saving automatically). The result is
@@ -101,24 +92,17 @@ struct HvKMeansResult {
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
   std::size_t reseeds = 0;
-  /// True when the run used the per-candidate pruned assignment path
-  /// (resolved mode kPruned, or kAuto with clusters >=
-  /// prune_min_clusters). False for the exhaustive scan and the bound
-  /// filter. Purely informational — every path produces bit-identical
-  /// results.
-  bool pruned_assignment = false;
   /// Work performed. Assignment accounting is measured, not assumed,
   /// and every path counts the kernels it ran: `distance_evals` counts
   /// pairs whose exact distance was computed (the zero-norm 1.0
   /// shortcut included), `candidates_pruned` counts pairs skipped by the
-  /// chord bounds, norm bounds or aborted bounded-kernel scans (evals +
-  /// pruned == points * clusters per iteration in every mode; a point
-  /// the bound filter skips adds `clusters`), `dot_adds` adds `dim` per
-  /// dot/scan that ran to completion (n*k*dim for an exhaustive run
-  /// without zero rows), and `words_scanned` counts the words the
-  /// kernels actually streamed, partial scans included. The exact
-  /// distances a reseed recomputes for skipped points add to `dot_adds`
-  /// and `words_scanned` only.
+  /// chord bounds (evals + pruned == points * clusters per iteration in
+  /// both modes; a point the bound filter skips adds `clusters`),
+  /// `dot_adds` adds `dim` per dot/scan that ran (n*k*dim for an
+  /// exhaustive run without zero rows), and `words_scanned` counts the
+  /// words the kernels streamed. The exact distances a reseed
+  /// recomputes for skipped points add to `dot_adds` and
+  /// `words_scanned` only.
   /// `centroid_update_adds` is measured too, as the op model's logical
   /// count: `dim` per point added or removed by the update step, so
   /// n*dim at iteration 0 plus 2*dim per point that moved cluster

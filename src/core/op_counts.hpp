@@ -24,17 +24,17 @@ struct OpCounts {
   /// operations. analytic_seghdc_ops keeps the per-iteration full re-sum.
   std::uint64_t centroid_update_adds = 0;
   std::uint64_t distance_evals = 0;      ///< point-centroid distances
-  /// (point, centroid) pairs the assignment step skipped without a full
-  /// distance: chord-bound skips of the default filter, norm-bound skips
-  /// and early-exited bounded-kernel scans. Every assignment pair is
-  /// either a distance_eval or pruned, so distance_evals +
-  /// candidates_pruned == points * clusters * iterations for a
-  /// clustering run. Zero under AssignMode::kExhaustive only.
+  /// (point, centroid) pairs the assignment step skipped without a
+  /// distance: the chord-bound skips of the default cosine filter. Every
+  /// assignment pair is either a distance_eval or pruned, so
+  /// distance_evals + candidates_pruned == points * clusters *
+  /// iterations for a clustering run. Zero under AssignMode::kExhaustive
+  /// and for the Hamming ablation, which always scans exhaustively.
   std::uint64_t candidates_pruned = 0;
   /// 64-bit words actually streamed by the assignment distance kernels
-  /// (full scans and aborted partial scans alike; each cosine plane
-  /// pass counts its own words). The honest bandwidth figure pruning is
-  /// judged by, where dot_adds stays in logical element units.
+  /// (each cosine plane pass counts its own words). The honest
+  /// bandwidth figure the bound filter is judged by, where dot_adds
+  /// stays in logical element units.
   std::uint64_t words_scanned = 0;
 
   std::uint64_t total_element_ops() const {

@@ -26,21 +26,6 @@ std::size_t hamming_words(std::span<const std::uint64_t> a,
   return simd::active_backend().hamming(a, b);
 }
 
-simd::BoundedScan hamming_words_bounded(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b,
-                                        std::size_t bound,
-                                        const simd::KernelBackend& backend) {
-  util::expects(a.size() == b.size(),
-                "hamming_words_bounded requires equal word counts");
-  return backend.hamming_bounded(a, b, bound);
-}
-
-simd::BoundedScan hamming_words_bounded(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b,
-                                        std::size_t bound) {
-  return hamming_words_bounded(a, b, bound, simd::active_backend());
-}
-
 void xor_words(std::span<std::uint64_t> dst,
                std::span<const std::uint64_t> a,
                std::span<const std::uint64_t> b) {
@@ -127,54 +112,6 @@ double cosine_distance_planes(const CountPlanes& planes,
   }
   return cosine_distance_from_dot(dot_planes(planes, words), centroid_norm,
                                   point_norm);
-}
-
-BoundedDot dot_planes_bounded(const CountPlanes& planes,
-                              std::span<const std::uint64_t> words,
-                              std::size_t point_popcount,
-                              std::int64_t max_useful_dot,
-                              const simd::KernelBackend& backend) {
-  util::expects(words.size() == planes.words_per_plane(),
-                "dot_planes_bounded word count must match the planes");
-  const auto pop = static_cast<std::int64_t>(point_popcount);
-  std::int64_t dot = 0;
-  std::size_t words_scanned = 0;
-  // Most-significant plane first, so the large contributions settle
-  // early and the remaining-planes bound tightens fastest. int64
-  // addition is exact and commutative, so the summation order cannot
-  // change the integer relative to dot_planes' ascending walk.
-  for (std::size_t b = planes.plane_count(); b-- > 0;) {
-    // Everything below plane b contributes at most (2^b - 1) * pop
-    // (each lower plane's AND-popcount is at most pop). The shift-width
-    // guard keeps the bound arithmetic far from int64 overflow for any
-    // representable counts; planes that high simply scan uncapped.
-    std::int64_t cap = -1;
-    if (max_useful_dot >= 0 && b < 40) {
-      const std::int64_t rest = ((std::int64_t{1} << b) - 1) * pop;
-      const std::int64_t headroom = max_useful_dot - dot - rest;
-      if (headroom >= 0) {
-        cap = headroom >> b;
-      }
-    }
-    const auto plane = planes.plane(b);
-    if (cap >= 0) {
-      const simd::BoundedScan scan = backend.and_popcount_capped(
-          plane, words, static_cast<std::size_t>(cap));
-      words_scanned += scan.words_scanned;
-      if (scan.value <= static_cast<std::size_t>(cap)) {
-        // Plane b contributes at most cap * 2^b (one-sided contract),
-        // so the full dot is <= dot + cap * 2^b + rest
-        // <= max_useful_dot: abandon the remaining planes.
-        return BoundedDot{dot, words_scanned, true};
-      }
-      dot += static_cast<std::int64_t>(scan.value) << b;
-    } else {
-      const std::size_t pc = backend.and_popcount(plane, words);
-      words_scanned += words.size();
-      dot += static_cast<std::int64_t>(pc) << b;
-    }
-  }
-  return BoundedDot{dot, words_scanned, false};
 }
 
 }  // namespace kernels

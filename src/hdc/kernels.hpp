@@ -56,21 +56,6 @@ std::size_t popcount_words(std::span<const std::uint64_t> words);
 std::size_t hamming_words(std::span<const std::uint64_t> a,
                           std::span<const std::uint64_t> b);
 
-/// Early-exit Hamming through the given backend's bounded slot: may
-/// abort the scan once the running distance reaches `bound`. The
-/// returned BoundedScan's `value` is the exact distance whenever it is
-/// < bound; when >= bound it may be partial but the true distance is
-/// also >= bound (see simd::BoundedScan). Requires equal sizes.
-simd::BoundedScan hamming_words_bounded(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b,
-                                        std::size_t bound,
-                                        const simd::KernelBackend& backend);
-
-/// Same, through the process-wide dispatched backend.
-simd::BoundedScan hamming_words_bounded(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b,
-                                        std::size_t bound);
-
 /// dst = a ^ b (the HDC binding operator). Requires equal sizes.
 void xor_words(std::span<std::uint64_t> dst,
                std::span<const std::uint64_t> a,
@@ -164,11 +149,11 @@ double cosine_distance_planes(const CountPlanes& planes,
                               double point_norm);
 
 /// THE cosine float expression: every cosine-distance path (words,
-/// planes, the pruned assignment's bound checks) must funnel the
-/// integer dot through this one function so the rounding is identical
-/// everywhere — that shared expression is what makes the pruned
-/// assignment's float-threshold reasoning exact rather than
-/// approximate. Returns 1.0 when either norm is zero.
+/// planes, the K-Means assignment) must funnel the integer dot through
+/// this one function so the rounding is identical everywhere — that
+/// shared expression is what lets the assignment's bound filter reason
+/// about computed distances exactly (see the error budget in
+/// src/core/kmeans.cpp). Returns 1.0 when either norm is zero.
 inline double cosine_distance_from_dot(std::int64_t dot,
                                        double centroid_norm,
                                        double point_norm) {
@@ -177,34 +162,6 @@ inline double cosine_distance_from_dot(std::int64_t dot,
   }
   return 1.0 - static_cast<double>(dot) / (point_norm * centroid_norm);
 }
-
-/// Result of a bounded plane dot. When `pruned` is false, `dot` is the
-/// exact full dot (bit-identical to dot_planes). When true, the true
-/// dot is provably <= the caller's `max_useful_dot` and `dot` holds
-/// only the partial accumulation. `words_scanned` counts every word
-/// streamed across all plane passes (backend-dependent on abort).
-struct BoundedDot {
-  std::int64_t dot;
-  std::size_t words_scanned;
-  bool pruned;
-};
-
-/// Early-exit word-blocked dot for the pruned cosine assignment:
-/// computes dot(counts, x) plane-by-plane from the most significant
-/// plane down, abandoning the scan once the dot provably cannot exceed
-/// `max_useful_dot` (each remaining plane b contributes at most
-/// 2^b * point_popcount, and the in-flight plane pass runs through the
-/// backend's capped AND+popcount). Exact by the one-sided contract: a
-/// dot > max_useful_dot is always returned exactly; a dot <=
-/// max_useful_dot may come back as `pruned` instead. Pass a negative
-/// `max_useful_dot` to disable pruning (the dot is always exact —
-/// useful when no best-so-far exists yet). `point_popcount` must be
-/// popcount(words).
-BoundedDot dot_planes_bounded(const CountPlanes& planes,
-                              std::span<const std::uint64_t> words,
-                              std::size_t point_popcount,
-                              std::int64_t max_useful_dot,
-                              const simd::KernelBackend& backend);
 
 }  // namespace kernels
 

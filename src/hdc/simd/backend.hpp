@@ -28,11 +28,9 @@
 // the TU is compiled out for the target), declare it below, and append
 // it to the registry list in registry.cpp. Guard anything
 // ISA-specific with function-level target attributes so the TU still
-// compiles for every architecture. Every slot must be populated —
-// including the bounded early-exit slots (hamming_bounded,
-// and_popcount_capped), whose one-sided exactness contract
-// (BoundedScan below) is what lets the candidate-pruned K-Means
-// assignment stay bit-identical to the exhaustive scan.
+// compiles for every architecture. Every slot must be populated, and
+// every slot scans its whole span: the K-Means assignment skips pairs
+// with its own exact bounds, never inside a kernel.
 #ifndef SEGHDC_HDC_SIMD_BACKEND_HPP
 #define SEGHDC_HDC_SIMD_BACKEND_HPP
 
@@ -42,36 +40,6 @@
 #include <string_view>
 
 namespace seghdc::hdc::simd {
-
-/// Result of a bounded kernel scan (hamming_bounded /
-/// and_popcount_capped below). `value` is the running count at the
-/// point the scan stopped and `words_scanned` the number of words it
-/// actually streamed. The exactness contract is one-sided on purpose so
-/// backends can check their abort condition at block granularity
-/// without breaking bit-identity:
-///
-///   hamming_bounded:      value <  bound  =>  value is the exact full
-///                         distance (a scan whose running count never
-///                         reaches `bound` can never abort). When
-///                         value >= bound it may be a partial count,
-///                         but the true distance is >= value >= bound
-///                         — exactly what a caller pruning on
-///                         "distance >= bound" needs.
-///   and_popcount_capped:  value >  cap    =>  value is the exact full
-///                         AND-popcount (the abort condition proves
-///                         final <= cap, so a final > cap can never
-///                         trigger it). When value <= cap the true
-///                         count is also <= cap (possibly partial) —
-///                         exactly what a caller pruning on
-///                         "count <= cap" needs.
-///
-/// Backends may abort at different word offsets (different block
-/// widths), so `words_scanned` is backend-dependent — only `value`'s
-/// contract above is part of the bit-identity discipline.
-struct BoundedScan {
-  std::size_t value;
-  std::size_t words_scanned;
-};
 
 /// Vtable of word-span kernels. All spans are packed little-endian
 /// 64-bit words; binary ops require equal sizes (callers validate).
@@ -96,22 +64,6 @@ struct KernelBackend {
   /// the word-blocked cosine dot.
   std::size_t (*and_popcount)(std::span<const std::uint64_t> a,
                               std::span<const std::uint64_t> b);
-  /// Early-exit Hamming: like `hamming`, but may abort the fused
-  /// XOR+popcount scan once the running distance reaches `bound`
-  /// (checked per block so the SIMD lanes stay full). See BoundedScan
-  /// for the exactness contract. The candidate-pruned K-Means
-  /// assignment calls this with the current best distance as `bound`.
-  BoundedScan (*hamming_bounded)(std::span<const std::uint64_t> a,
-                                 std::span<const std::uint64_t> b,
-                                 std::size_t bound);
-  /// Early-exit AND+popcount: like `and_popcount`, but may abort once
-  /// running + 64 * words_remaining <= cap — i.e. once the final count
-  /// provably cannot exceed `cap`. See BoundedScan for the contract.
-  /// The bounded plane-dot (kernels::dot_planes_bounded) uses this to
-  /// abandon a cosine dot that can no longer beat the current best.
-  BoundedScan (*and_popcount_capped)(std::span<const std::uint64_t> a,
-                                     std::span<const std::uint64_t> b,
-                                     std::size_t cap);
   /// dst = a ^ b (the HDC binding operator).
   void (*xor_bind)(std::span<std::uint64_t> dst,
                    std::span<const std::uint64_t> a,

@@ -98,73 +98,6 @@ SEGHDC_AVX2 std::size_t avx2_and_popcount(std::span<const std::uint64_t> a,
   return static_cast<std::size_t>(total);
 }
 
-// Bounded variants process two vectors (8 words) per abort check: wide
-// enough to keep the vpshufb pipeline fed, narrow enough that an abort
-// saves most of the span. The running count lives in a scalar (one
-// vpsadbw reduce per block) so the check is a plain compare.
-
-SEGHDC_AVX2 BoundedScan avx2_hamming_bounded(std::span<const std::uint64_t> a,
-                                             std::span<const std::uint64_t> b,
-                                             std::size_t bound) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= a.size(); w += 8) {
-    if (count >= bound) {
-      return BoundedScan{count, w};
-    }
-    const __m256i va0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.data() + w));
-    const __m256i vb0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.data() + w));
-    const __m256i va1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a.data() + w + 4));
-    const __m256i vb1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b.data() + w + 4));
-    const __m256i sum =
-        _mm256_add_epi64(popcount_epi64(_mm256_xor_si256(va0, vb0)),
-                         popcount_epi64(_mm256_xor_si256(va1, vb1)));
-    count += static_cast<std::size_t>(reduce_epi64(sum));
-  }
-  if (count >= bound) {
-    return BoundedScan{count, w};
-  }
-  for (; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
-  }
-  return BoundedScan{count, w};
-}
-
-SEGHDC_AVX2 BoundedScan avx2_and_popcount_capped(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    std::size_t cap) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= a.size(); w += 8) {
-    if (count + 64 * (a.size() - w) <= cap) {
-      return BoundedScan{count, w};
-    }
-    const __m256i va0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.data() + w));
-    const __m256i vb0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.data() + w));
-    const __m256i va1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a.data() + w + 4));
-    const __m256i vb1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b.data() + w + 4));
-    const __m256i sum =
-        _mm256_add_epi64(popcount_epi64(_mm256_and_si256(va0, vb0)),
-                         popcount_epi64(_mm256_and_si256(va1, vb1)));
-    count += static_cast<std::size_t>(reduce_epi64(sum));
-  }
-  if (w < a.size() && count + 64 * (a.size() - w) <= cap) {
-    return BoundedScan{count, w};
-  }
-  for (; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-  }
-  return BoundedScan{count, w};
-}
-
 SEGHDC_AVX2 void avx2_xor_bind(std::span<std::uint64_t> dst,
                                std::span<const std::uint64_t> a,
                                std::span<const std::uint64_t> b) {
@@ -245,8 +178,6 @@ const KernelBackend kAvx2Backend{
     .popcount = avx2_popcount,
     .hamming = avx2_hamming,
     .and_popcount = avx2_and_popcount,
-    .hamming_bounded = avx2_hamming_bounded,
-    .and_popcount_capped = avx2_and_popcount_capped,
     .xor_bind = avx2_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
     .build_planes = avx2_build_planes,

@@ -87,47 +87,6 @@ std::size_t hs_and_popcount(std::span<const std::uint64_t> a,
                            [&](std::size_t i) { return a[i] & b[i]; });
 }
 
-// Bounded variants fold the CSA tree one 16-word block at a time (the
-// tree's natural width) so the abort condition can be checked between
-// blocks with the running count fully reduced. The per-block fold costs
-// 5 popcounts per 16 words instead of the unbounded version's amortised
-// ~1, but still well under scalar's 16 — and the whole point is to stop
-// streaming words at all once the bound decides the candidate.
-
-BoundedScan hs_hamming_bounded(std::span<const std::uint64_t> a,
-                               std::span<const std::uint64_t> b,
-                               std::size_t bound) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  while (w < a.size()) {
-    if (count >= bound) {
-      return BoundedScan{count, w};
-    }
-    const std::size_t block = std::min<std::size_t>(a.size() - w, 16);
-    count += harley_seal_count(
-        block, [&](std::size_t i) { return a[w + i] ^ b[w + i]; });
-    w += block;
-  }
-  return BoundedScan{count, w};
-}
-
-BoundedScan hs_and_popcount_capped(std::span<const std::uint64_t> a,
-                                   std::span<const std::uint64_t> b,
-                                   std::size_t cap) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  while (w < a.size()) {
-    if (count + 64 * (a.size() - w) <= cap) {
-      return BoundedScan{count, w};
-    }
-    const std::size_t block = std::min<std::size_t>(a.size() - w, 16);
-    count += harley_seal_count(
-        block, [&](std::size_t i) { return a[w + i] & b[w + i]; });
-    w += block;
-  }
-  return BoundedScan{count, w};
-}
-
 bool always_available() { return true; }
 
 const KernelBackend kHarleySealBackend{
@@ -137,8 +96,6 @@ const KernelBackend kHarleySealBackend{
     .popcount = hs_popcount,
     .hamming = hs_hamming,
     .and_popcount = hs_and_popcount,
-    .hamming_bounded = hs_hamming_bounded,
-    .and_popcount_capped = hs_and_popcount_capped,
     // Plain XOR is already one op per word; nothing to fold.
     .xor_bind = detail::scalar_xor_bind,
     .dot_counts = detail::scalar_dot_counts,

@@ -74,61 +74,6 @@ std::size_t neon_and_popcount(std::span<const std::uint64_t> a,
   return static_cast<std::size_t>(total);
 }
 
-// Bounded variants process four vectors (8 words) per abort check: the
-// u8 lane accumulator folds once per block (8 * 8 = 64 byte counts,
-// far under the 255 overflow ceiling) so the check is a plain scalar
-// compare on the running total.
-
-BoundedScan neon_hamming_bounded(std::span<const std::uint64_t> a,
-                                 std::span<const std::uint64_t> b,
-                                 std::size_t bound) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= a.size(); w += 8) {
-    if (count >= bound) {
-      return BoundedScan{count, w};
-    }
-    uint8x16_t acc = vdupq_n_u8(0);
-    for (std::size_t v = 0; v < 4; ++v) {
-      acc = vaddq_u8(acc, vcntq_u8(veorq_u8(load_u8x16(&a[w + 2 * v]),
-                                            load_u8x16(&b[w + 2 * v]))));
-    }
-    count += vaddlvq_u8(acc);
-  }
-  if (count >= bound) {
-    return BoundedScan{count, w};
-  }
-  for (; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
-  }
-  return BoundedScan{count, w};
-}
-
-BoundedScan neon_and_popcount_capped(std::span<const std::uint64_t> a,
-                                     std::span<const std::uint64_t> b,
-                                     std::size_t cap) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= a.size(); w += 8) {
-    if (count + 64 * (a.size() - w) <= cap) {
-      return BoundedScan{count, w};
-    }
-    uint8x16_t acc = vdupq_n_u8(0);
-    for (std::size_t v = 0; v < 4; ++v) {
-      acc = vaddq_u8(acc, vcntq_u8(vandq_u8(load_u8x16(&a[w + 2 * v]),
-                                            load_u8x16(&b[w + 2 * v]))));
-    }
-    count += vaddlvq_u8(acc);
-  }
-  if (w < a.size() && count + 64 * (a.size() - w) <= cap) {
-    return BoundedScan{count, w};
-  }
-  for (; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-  }
-  return BoundedScan{count, w};
-}
-
 void neon_xor_bind(std::span<std::uint64_t> dst,
                    std::span<const std::uint64_t> a,
                    std::span<const std::uint64_t> b) {
@@ -150,8 +95,6 @@ const KernelBackend kNeonBackend{
     .popcount = neon_popcount,
     .hamming = neon_hamming,
     .and_popcount = neon_and_popcount,
-    .hamming_bounded = neon_hamming_bounded,
-    .and_popcount_capped = neon_and_popcount_capped,
     .xor_bind = neon_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
     // The scatter is index arithmetic; vcnt has nothing to add.

@@ -45,8 +45,6 @@ const KernelBackend kScalarBackend{
     .popcount = detail::scalar_popcount,
     .hamming = detail::scalar_hamming,
     .and_popcount = detail::scalar_and_popcount,
-    .hamming_bounded = detail::scalar_hamming_bounded,
-    .and_popcount_capped = detail::scalar_and_popcount_capped,
     .xor_bind = detail::scalar_xor_bind,
     .dot_counts = detail::scalar_dot_counts,
     .build_planes = detail::scalar_build_planes,

@@ -5,7 +5,6 @@
 #ifndef SEGHDC_HDC_SIMD_BACKENDS_INTERNAL_HPP
 #define SEGHDC_HDC_SIMD_BACKENDS_INTERNAL_HPP
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -56,51 +55,6 @@ inline std::size_t scalar_and_popcount(std::span<const std::uint64_t> a,
     count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
   }
   return count;
-}
-
-/// Reference bounded Hamming: plain per-word popcounts with the abort
-/// condition (running >= bound) checked every 8 words — the smallest
-/// granularity any backend uses, and the exactness reference the
-/// property suite holds the vector backends to. A scan whose final
-/// distance is < bound can never abort (running is non-decreasing), so
-/// the BoundedScan contract holds by construction.
-inline BoundedScan scalar_hamming_bounded(std::span<const std::uint64_t> a,
-                                          std::span<const std::uint64_t> b,
-                                          std::size_t bound) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  while (w < a.size()) {
-    if (count >= bound) {
-      return BoundedScan{count, w};
-    }
-    const std::size_t block_end = std::min(a.size(), w + 8);
-    for (; w < block_end; ++w) {
-      count += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
-    }
-  }
-  return BoundedScan{count, w};
-}
-
-/// Reference capped AND+popcount: aborts once running + 64 * remaining
-/// <= cap (the final count provably cannot exceed cap), checked every 8
-/// words. A scan whose final count is > cap can never abort, so the
-/// BoundedScan contract holds by construction.
-inline BoundedScan scalar_and_popcount_capped(
-    std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
-    std::size_t cap) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  while (w < a.size()) {
-    const std::size_t remaining = 64 * (a.size() - w);
-    if (count + remaining <= cap) {
-      return BoundedScan{count, w};
-    }
-    const std::size_t block_end = std::min(a.size(), w + 8);
-    for (; w < block_end; ++w) {
-      count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-    }
-  }
-  return BoundedScan{count, w};
 }
 
 inline void scalar_xor_bind(std::span<std::uint64_t> dst,

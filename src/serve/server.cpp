@@ -107,7 +107,8 @@ SegHdcServer::SegHdcServer(const core::SegHdcConfig& config,
           "Distances actually evaluated (assignment + margin passes)")),
       assign_candidates_pruned_(metrics_.counter(
           "seghdc_assign_candidates_pruned_total",
-          "K-Means assignment candidates skipped by exact pruning")) {
+          "K-Means assignment candidates skipped by the exact bound "
+          "filter")) {
   encode_threads_.reserve(options_.encode_workers);
   cluster_threads_.reserve(options_.cluster_workers);
   live_encoders_.store(options_.encode_workers, std::memory_order_relaxed);

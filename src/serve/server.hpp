@@ -326,8 +326,9 @@ class SegHdcServer {
   obs::Counter& stream_tiles_encoded_;
   obs::Counter& stream_kmeans_iterations_;
   // Assignment-work breakdown from each result's OpCounts: evaluated
-  // distances vs candidates skipped by the pruned assignment (zero
-  // unless the session runs with pruning; see core::AssignMode).
+  // distances vs candidates skipped by the cosine bound filter (zero
+  // under AssignMode::kExhaustive and for the Hamming ablation; see
+  // core::AssignMode).
   obs::Counter& assign_distance_evals_;
   obs::Counter& assign_candidates_pruned_;
   /// Per-request trace ids (span correlation only, no semantics).

@@ -262,7 +262,7 @@ TEST(EvalPipeline, PathsPoolsAndAssignModesAreBitIdentical) {
   ASSERT_NE(reference.labels_hash, 0u);
 
   for (const auto assign_mode :
-       {core::AssignMode::kExhaustive, core::AssignMode::kPruned}) {
+       {core::AssignMode::kExhaustive, core::AssignMode::kAuto}) {
     config.assign_mode = assign_mode;
     for (const std::size_t pool_size : {1, 2, 4}) {
       util::ThreadPool pool(pool_size);
@@ -280,8 +280,8 @@ TEST(EvalPipeline, PathsPoolsAndAssignModesAreBitIdentical) {
             suite, reference,
             std::string(eval::eval_path_name(path)) + ", pool " +
                 std::to_string(pool_size) + ", " +
-                (assign_mode == core::AssignMode::kPruned ? "pruned"
-                                                          : "exhaustive"));
+                (assign_mode == core::AssignMode::kAuto ? "auto"
+                                                        : "exhaustive"));
       }
     }
   }
@@ -369,14 +369,14 @@ TEST(EvalPipeline, MismatchedExternalServerIsAHardError) {
 // Measured op accounting.
 // ---------------------------------------------------------------------
 
-TEST(EvalPipeline, PrunedModeOpsSatisfyConservation) {
-  // Records must carry MEASURED counts: in pruned assignment mode every
-  // candidate is either distance-evaluated or pruned, so the two sides
+TEST(EvalPipeline, AutoModeOpsSatisfyConservation) {
+  // Records must carry MEASURED counts: behind kAuto's bound filter every
+  // candidate is either distance-evaluated or skipped, so the two sides
   // of the ledger reconcile exactly. A blanket points*clusters*iters
-  // formula would double-count prunes and fail this.
+  // formula would double-count skips and fail this.
   const auto dataset = extended_dataset();
   auto config = base_config();
-  config.assign_mode = core::AssignMode::kPruned;
+  config.assign_mode = core::AssignMode::kAuto;
   ASSERT_FALSE(config.compute_margins);
 
   for (const auto path : {eval::EvalPath::kOneShot, eval::EvalPath::kBatch,

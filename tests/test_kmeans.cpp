@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -563,6 +566,78 @@ TEST(LargestColorDifferenceSeeds, SeedsAreDistinct) {
   for (std::size_t a = 0; a < seeds.size(); ++a) {
     for (std::size_t b = a + 1; b < seeds.size(); ++b) {
       EXPECT_NE(seeds[a], seeds[b]);
+    }
+  }
+}
+
+/// Farthest-point seeding done directly, recomputing every point's gap
+/// to every chosen seed for each new seed (O(n * K^2)): the reference
+/// largest_color_difference_seeds must match index for index.
+std::vector<std::size_t> reference_seeds(
+    std::span<const std::uint8_t> intensities, std::size_t clusters) {
+  std::vector<std::size_t> seeds;
+  std::size_t min_index = 0;
+  std::size_t max_index = 0;
+  for (std::size_t i = 1; i < intensities.size(); ++i) {
+    if (intensities[i] < intensities[min_index]) {
+      min_index = i;
+    }
+    if (intensities[i] > intensities[max_index]) {
+      max_index = i;
+    }
+  }
+  if (min_index == max_index) {
+    for (std::size_t c = 0; c < clusters; ++c) {
+      seeds.push_back(c);
+    }
+    return seeds;
+  }
+  seeds.push_back(max_index);
+  seeds.push_back(min_index);
+  while (seeds.size() < clusters) {
+    std::size_t best_index = 0;
+    int best_gap = -1;
+    for (std::size_t i = 0; i < intensities.size(); ++i) {
+      int gap = std::numeric_limits<int>::max();
+      bool already = false;
+      for (const std::size_t s : seeds) {
+        if (s == i) {
+          already = true;
+          break;
+        }
+        gap = std::min(gap, std::abs(static_cast<int>(intensities[i]) -
+                                     static_cast<int>(intensities[s])));
+      }
+      if (!already && gap > best_gap) {
+        best_gap = gap;
+        best_index = i;
+      }
+    }
+    seeds.push_back(best_index);
+  }
+  return seeds;
+}
+
+TEST(LargestColorDifferenceSeeds, MatchesQuadraticReference) {
+  util::Rng rng(73);
+  for (const std::size_t k : {3u, 16u, 64u, 256u}) {
+    // 1 distinct level is a flat image; fewer levels than k leave only
+    // gap-0 picks, which fall back to the lowest unchosen index.
+    for (const std::size_t levels : {1u, 2u, 5u, 16u, 64u, 200u, 256u}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE("k " + std::to_string(k) + " levels " +
+                     std::to_string(levels) + " trial " +
+                     std::to_string(trial));
+        std::vector<std::uint8_t> palette(256);
+        std::iota(palette.begin(), palette.end(), 0);
+        std::shuffle(palette.begin(), palette.end(), rng);
+        std::vector<std::uint8_t> intensities(k + rng.next_below(700));
+        for (auto& value : intensities) {
+          value = palette[rng.next_below(levels)];
+        }
+        EXPECT_EQ(largest_color_difference_seeds(intensities, k),
+                  reference_seeds(intensities, k));
+      }
     }
   }
 }

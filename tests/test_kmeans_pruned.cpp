@@ -1,32 +1,26 @@
-// Tests for the candidate-pruned K-Means assignment, the bounded
-// kernels underneath it, and the triangle-inequality bound filter that
-// kAuto runs below the pruning threshold. The contract under test is
-// strict: every skip is EXACT — labels, centroids, changed-counts,
-// reseeds, and convergence must be bit-identical to the exhaustive
-// argmin (ties broken by the lowest index) at every registered backend,
-// pool size, and cluster count, and the PR-2 golden batch hash
-// 13206585988845182882 and PR-6 golden stream hash 6522647722573592175
-// must survive with pruning forced on. Anything weaker would make
-// AssignMode a semantics knob.
+// Tests for the triangle-inequality bound filter that kAuto puts in
+// front of the cosine K-Means assignment at every cluster count, and
+// for the assignment-mode plumbing. The contract under test is strict:
+// every skip is EXACT — labels, centroids, changed-counts, reseeds, and
+// convergence must be bit-identical to the exhaustive argmin (ties
+// broken by the lowest index) at every registered backend, pool size,
+// and cluster count. Anything weaker would make AssignMode a semantics
+// knob. The golden batch and stream hashes are pinned by their own
+// suites (test_session, test_stream), which run under kAuto.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/core/config.hpp"
 #include "src/core/kmeans.hpp"
-#include "src/core/session.hpp"
 #include "src/hdc/hypervector.hpp"
-#include "src/hdc/kernels.hpp"
 #include "src/hdc/simd/backend.hpp"
-#include "src/imaging/image.hpp"
-#include "src/metrics/segmentation_metrics.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
 
@@ -34,8 +28,6 @@ namespace {
 
 using namespace seghdc;
 using namespace seghdc::core;
-
-constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 
 /// Leaves the process-wide backend selection exactly as a test found it.
 struct BackendSelectionGuard {
@@ -63,121 +55,7 @@ struct AssignModeEnvGuard {
 };
 
 // ---------------------------------------------------------------------
-// Bounded-kernel property suite: every registered backend must honour
-// the one-sided BoundedScan contract against a plain per-word reference,
-// including non-multiple-of-64 dimensions (ragged vector tails) and
-// bounds that land exactly on block boundaries.
-
-std::size_t reference_hamming(std::span<const std::uint64_t> a,
-                              std::span<const std::uint64_t> b) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] ^ b[w]));
-  }
-  return count;
-}
-
-std::size_t reference_and_popcount(std::span<const std::uint64_t> a,
-                                   std::span<const std::uint64_t> b) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    count += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-  }
-  return count;
-}
-
-TEST(BoundedKernels, HammingBoundedHonoursContractOnEveryBackend) {
-  util::Rng rng(17);
-  for (const std::size_t dim : {64u, 100u, 192u, 1000u, 1041u}) {
-    const auto a = hdc::HyperVector::random(dim, rng);
-    const auto b = hdc::HyperVector::random(dim, rng);
-    const auto aw = a.words();
-    const auto bw = b.words();
-    const std::size_t exact = reference_hamming(aw, bw);
-
-    // Bound menu: degenerate, around the exact value, unbounded, and
-    // every 8-word prefix count (a bound met exactly at a block edge is
-    // the off-by-one habitat of early-exit kernels).
-    std::vector<std::size_t> bounds{0, 1, exact, exact + 1, kUnbounded};
-    if (exact > 0) {
-      bounds.push_back(exact - 1);
-    }
-    std::size_t prefix = 0;
-    for (std::size_t w = 0; w < aw.size(); ++w) {
-      prefix += static_cast<std::size_t>(std::popcount(aw[w] ^ bw[w]));
-      if ((w + 1) % 8 == 0) {
-        bounds.push_back(prefix);
-      }
-    }
-
-    for (const auto* backend : hdc::simd::registered_backends()) {
-      if (!backend->available()) {
-        continue;
-      }
-      for (const std::size_t bound : bounds) {
-        SCOPED_TRACE(std::string(backend->name) + " dim " +
-                     std::to_string(dim) + " bound " + std::to_string(bound));
-        const auto scan = backend->hamming_bounded(aw, bw, bound);
-        // The running count only ever grows toward the exact distance.
-        EXPECT_LE(scan.value, exact);
-        EXPECT_LE(scan.words_scanned, aw.size());
-        if (scan.value < bound) {
-          // Completed scan: the value is the exact distance.
-          EXPECT_EQ(scan.value, exact);
-          EXPECT_EQ(scan.words_scanned, aw.size());
-        } else {
-          // Aborted (or exactly-at-bound) scan: the true distance is
-          // provably >= bound.
-          EXPECT_GE(exact, bound);
-        }
-      }
-    }
-  }
-}
-
-TEST(BoundedKernels, AndPopcountCappedHonoursContractOnEveryBackend) {
-  util::Rng rng(18);
-  for (const std::size_t dim : {64u, 100u, 192u, 1000u, 1041u}) {
-    const auto a = hdc::HyperVector::random(dim, rng);
-    const auto b = hdc::HyperVector::random(dim, rng);
-    const auto aw = a.words();
-    const auto bw = b.words();
-    const std::size_t exact = reference_and_popcount(aw, bw);
-
-    std::vector<std::size_t> caps{0, 1, exact, exact + 1, 64 * aw.size(),
-                                  kUnbounded};
-    if (exact > 0) {
-      caps.push_back(exact - 1);
-    }
-
-    for (const auto* backend : hdc::simd::registered_backends()) {
-      if (!backend->available()) {
-        continue;
-      }
-      for (const std::size_t cap : caps) {
-        SCOPED_TRACE(std::string(backend->name) + " dim " +
-                     std::to_string(dim) + " cap " + std::to_string(cap));
-        const auto scan = backend->and_popcount_capped(aw, bw, cap);
-        EXPECT_LE(scan.value, exact);
-        EXPECT_LE(scan.words_scanned, aw.size());
-        if (scan.value > cap) {
-          // A count that overshot the cap must be the exact full count:
-          // the abort condition proves final <= cap, so it can never
-          // fire on a scan whose final count exceeds it.
-          EXPECT_EQ(scan.value, exact);
-          EXPECT_EQ(scan.words_scanned, aw.size());
-        } else {
-          // At-or-under-cap result (possibly aborted): the true count
-          // is provably <= cap.
-          EXPECT_LE(exact, cap);
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Pruned == exhaustive, bit for bit.
+// kAuto == kExhaustive, bit for bit.
 
 void expect_kmeans_results_identical(const HvKMeansResult& a,
                                      const HvKMeansResult& b) {
@@ -194,6 +72,16 @@ void expect_kmeans_results_identical(const HvKMeansResult& a,
     EXPECT_EQ(a.centroids[c].total_weight(), b.centroids[c].total_weight());
     EXPECT_DOUBLE_EQ(a.centroids[c].norm(), b.centroids[c].norm());
   }
+}
+
+void expect_ops_identical(const OpCounts& a, const OpCounts& b) {
+  EXPECT_EQ(a.bind_xor_bits, b.bind_xor_bits);
+  EXPECT_EQ(a.popcount_bits, b.popcount_bits);
+  EXPECT_EQ(a.dot_adds, b.dot_adds);
+  EXPECT_EQ(a.centroid_update_adds, b.centroid_update_adds);
+  EXPECT_EQ(a.distance_evals, b.distance_evals);
+  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned);
+  EXPECT_EQ(a.words_scanned, b.words_scanned);
 }
 
 std::vector<hdc::HyperVector> make_points(std::size_t count, std::size_t dim,
@@ -215,10 +103,12 @@ std::vector<std::size_t> first_n_seeds(std::size_t k) {
   return seeds;
 }
 
-TEST(PrunedAssignment, MatchesExhaustiveAcrossBackendsPoolsAndK) {
+TEST(AutoAssignment, MatchesExhaustiveAcrossBackendsPoolsAndK) {
   const BackendSelectionGuard guard;
-  // dim 1000 on purpose: a ragged last word keeps the bounded kernels'
-  // scalar tails in play.
+  const AssignModeEnvGuard env_guard;
+  unsetenv("SEGHDC_ASSIGN_MODE");  // kAuto must resolve to the filter
+  // dim 1000 on purpose: a ragged last word keeps the kernels' scalar
+  // tails in play.
   const auto points = make_points(60, 1000, 23);
   for (const auto* backend : hdc::simd::registered_backends()) {
     if (!backend->available()) {
@@ -234,8 +124,7 @@ TEST(PrunedAssignment, MatchesExhaustiveAcrossBackendsPoolsAndK) {
                               .assign_mode = AssignMode::kExhaustive};
         const auto seeds = first_n_seeds(k);
         const auto exhaustive = HvKMeans(config).run(points, {}, seeds);
-        EXPECT_FALSE(exhaustive.pruned_assignment);
-        config.assign_mode = AssignMode::kPruned;
+        config.assign_mode = AssignMode::kAuto;
         for (const std::size_t threads : {1u, 2u, 4u}) {
           SCOPED_TRACE(std::string(backend->name) +
                        (distance == ClusterDistance::kCosine ? " cosine"
@@ -244,9 +133,12 @@ TEST(PrunedAssignment, MatchesExhaustiveAcrossBackendsPoolsAndK) {
                        std::to_string(threads));
           util::ThreadPool pool(threads);
           config.pool = &pool;
-          const auto pruned = HvKMeans(config).run(points, {}, seeds);
-          EXPECT_TRUE(pruned.pruned_assignment);
-          expect_kmeans_results_identical(exhaustive, pruned);
+          const auto result = HvKMeans(config).run(points, {}, seeds);
+          expect_kmeans_results_identical(exhaustive, result);
+          if (distance == ClusterDistance::kHamming) {
+            // The Hamming ablation scans exhaustively at every K.
+            expect_ops_identical(exhaustive.ops, result.ops);
+          }
         }
         config.pool = nullptr;
       }
@@ -254,14 +146,16 @@ TEST(PrunedAssignment, MatchesExhaustiveAcrossBackendsPoolsAndK) {
   }
 }
 
-TEST(PrunedAssignment, TieBreakAdversarialCoincidentCentroids) {
+TEST(AutoAssignment, TieBreakAdversarialCoincidentCentroids) {
   const BackendSelectionGuard guard;
+  const AssignModeEnvGuard env_guard;
+  unsetenv("SEGHDC_ASSIGN_MODE");
   // Seeds 0..2 are byte-identical points, so three centroids coincide
   // and EVERY point ties between clusters 0, 1, and 2 at the exact
   // minimum — the argmin is decided purely by the lowest-index rule the
-  // pruned scan must reproduce. A zero HV (and a zero seed centroid)
+  // filtered scan must reproduce. A zero HV (and a zero seed centroid)
   // rides along to pin the zero-norm cosine shortcut, and the starved
-  // clusters exercise the reseed path under pruning.
+  // clusters exercise the reseed path behind the filter.
   auto points = make_points(30, 512, 29);
   points[1] = points[0];
   points[2] = points[0];
@@ -279,15 +173,15 @@ TEST(PrunedAssignment, TieBreakAdversarialCoincidentCentroids) {
                             .assign_mode = AssignMode::kExhaustive};
       const std::vector<std::size_t> seeds{0, 1, 2, 5, 7};
       const auto exhaustive = HvKMeans(config).run(points, {}, seeds);
-      config.assign_mode = AssignMode::kPruned;
+      config.assign_mode = AssignMode::kAuto;
       for (const std::size_t threads : {1u, 4u}) {
         SCOPED_TRACE(std::string(backend->name) + " distance " +
                      std::to_string(static_cast<int>(distance)) +
                      " threads " + std::to_string(threads));
         util::ThreadPool pool(threads);
         config.pool = &pool;
-        const auto pruned = HvKMeans(config).run(points, {}, seeds);
-        expect_kmeans_results_identical(exhaustive, pruned);
+        const auto result = HvKMeans(config).run(points, {}, seeds);
+        expect_kmeans_results_identical(exhaustive, result);
       }
       config.pool = nullptr;
     }
@@ -295,12 +189,10 @@ TEST(PrunedAssignment, TieBreakAdversarialCoincidentCentroids) {
 }
 
 // ---------------------------------------------------------------------
-// OpCounts: every mode reports the work it measured. Exhaustive runs
-// every kernel (on data without zero rows that is the closed-form
-// n*k*dim); pruned mode obeys the conservation law, identically at every
-// pool size.
+// OpCounts: an exhaustive run evaluates every pair, so on data without
+// zero rows its counts are the closed-form n*k*dim.
 
-TEST(PrunedAssignment, OpsAccountingExhaustiveAndPrunedConservation) {
+TEST(ExhaustiveAssignment, OpsAccountingClosedForm) {
   const auto points = make_points(40, 512, 31);
   const std::uint64_t n = points.size();
   constexpr std::uint64_t kDim = 512;
@@ -308,10 +200,10 @@ TEST(PrunedAssignment, OpsAccountingExhaustiveAndPrunedConservation) {
   for (const auto distance :
        {ClusterDistance::kCosine, ClusterDistance::kHamming}) {
     SCOPED_TRACE(distance == ClusterDistance::kCosine ? "cosine" : "hamming");
-    HvKMeansConfig config{.clusters = 16,
-                          .iterations = 5,
-                          .distance = distance,
-                          .assign_mode = AssignMode::kExhaustive};
+    const HvKMeansConfig config{.clusters = 16,
+                                .iterations = 5,
+                                .distance = distance,
+                                .assign_mode = AssignMode::kExhaustive};
     const auto seeds = first_n_seeds(16);
     const auto exhaustive = HvKMeans(config).run(points, {}, seeds);
     const std::uint64_t iters = exhaustive.iterations_run;
@@ -324,57 +216,14 @@ TEST(PrunedAssignment, OpsAccountingExhaustiveAndPrunedConservation) {
     } else {
       EXPECT_GT(exhaustive.ops.words_scanned, 0u);
     }
-
-    config.assign_mode = AssignMode::kPruned;
-    const auto pruned = HvKMeans(config).run(points, {}, seeds);
-    expect_kmeans_results_identical(exhaustive, pruned);
-    EXPECT_EQ(pruned.iterations_run, iters);
-    // Conservation: every (point, centroid) pair per iteration is
-    // either evaluated or pruned, never both, never dropped.
-    EXPECT_EQ(pruned.ops.distance_evals + pruned.ops.candidates_pruned,
-              pairs);
-    EXPECT_LE(pruned.ops.distance_evals, pairs);
-    // Measured work never exceeds the exhaustive formulas.
-    EXPECT_LE(pruned.ops.dot_adds, exhaustive.ops.dot_adds);
-    EXPECT_GT(pruned.ops.words_scanned, 0u);
-    if (distance == ClusterDistance::kHamming) {
-      EXPECT_LE(pruned.ops.words_scanned, pairs * kWords);
-    }
-
-    // Pool-size invariance of the measured accounting (relaxed atomic
-    // folds of commutative integer sums).
-    for (const std::size_t threads : {2u, 4u}) {
-      util::ThreadPool pool(threads);
-      config.pool = &pool;
-      const auto again = HvKMeans(config).run(points, {}, seeds);
-      EXPECT_EQ(again.ops.distance_evals, pruned.ops.distance_evals)
-          << "threads " << threads;
-      EXPECT_EQ(again.ops.candidates_pruned, pruned.ops.candidates_pruned)
-          << "threads " << threads;
-      EXPECT_EQ(again.ops.dot_adds, pruned.ops.dot_adds)
-          << "threads " << threads;
-      EXPECT_EQ(again.ops.words_scanned, pruned.ops.words_scanned)
-          << "threads " << threads;
-    }
-    config.pool = nullptr;
   }
 }
 
 // ---------------------------------------------------------------------
-// Bound-filtered assignment: kAuto below prune_min_clusters puts exact
-// triangle-inequality bounds in front of the exhaustive cosine scan. It
-// must equal kExhaustive bit for bit, count only what it ran, report
-// the same counts at every pool size and backend, and really skip.
-
-void expect_ops_identical(const OpCounts& a, const OpCounts& b) {
-  EXPECT_EQ(a.bind_xor_bits, b.bind_xor_bits);
-  EXPECT_EQ(a.popcount_bits, b.popcount_bits);
-  EXPECT_EQ(a.dot_adds, b.dot_adds);
-  EXPECT_EQ(a.centroid_update_adds, b.centroid_update_adds);
-  EXPECT_EQ(a.distance_evals, b.distance_evals);
-  EXPECT_EQ(a.candidates_pruned, b.candidates_pruned);
-  EXPECT_EQ(a.words_scanned, b.words_scanned);
-}
+// Bound-filtered assignment: kAuto puts exact triangle-inequality bounds
+// in front of the exhaustive cosine scan at every K. It must equal
+// kExhaustive bit for bit, count only what it ran, report the same
+// counts at every pool size and backend, and really skip.
 
 /// `per_family` perturbations of each of `families` random anchors, each
 /// with `flips` random bit flips, interleaved: point i belongs to family
@@ -413,7 +262,7 @@ HvKMeansResult run_entry(const HvKMeansConfig& config,
              : kmeans.run_from_centroids(block, {}, seed_centroids);
 }
 
-/// kAuto (the bound filter at these K) against kExhaustive at pools
+/// kAuto (the bound filter) against kExhaustive at pools
 /// {1, 2, 8}: identical results, per-iteration conservation, and
 /// identical counts at every pool size. Returns the pool-1 result.
 HvKMeansResult expect_bounded_matches_exhaustive(
@@ -431,7 +280,6 @@ HvKMeansResult expect_bounded_matches_exhaustive(
     config.pool = &pool;
     results.push_back(run_entry(config, block, seeds, seed_centroids));
     const auto& result = results.back();
-    EXPECT_FALSE(result.pruned_assignment);
     expect_kmeans_results_identical(reference, result);
     // Every (point, centroid) pair of every iteration is either
     // evaluated or skipped.
@@ -448,13 +296,14 @@ TEST(BoundFilteredAssignment, MatchesExhaustiveAcrossKPoolsEntriesAndStops) {
   const AssignModeEnvGuard guard;
   unsetenv("SEGHDC_ASSIGN_MODE");  // kAuto must resolve to the filter
   constexpr std::size_t kDim = 1000;  // a ragged last word on purpose
-  for (const std::size_t k : {2u, 3u, 5u, 7u}) {
+  for (const std::size_t k : {2u, 3u, 5u, 7u, 8u, 16u, 40u}) {
     // Moving: overlapping families (a third of the bits flipped) seeded
     // from one family, so points keep moving for several iterations.
     // Converging: tight families seeded one per family, settled early.
+    // Each family holds at least k points, so one family seeds them all.
     for (const bool moving : {true, false}) {
-      const auto points =
-          make_families(k, 24, kDim, moving ? kDim / 3 : kDim / 50, 40 + k);
+      const auto points = make_families(k, std::max<std::size_t>(24, k), kDim,
+                                         moving ? kDim / 3 : kDim / 50, 40 + k);
       const auto block = hdc::HvBlock::from_hvs(points);
       std::vector<std::size_t> seeds(k);
       std::vector<hdc::HyperVector> seed_centroids;
@@ -660,171 +509,50 @@ TEST(BoundFilteredAssignment, ReseedAfterSkipsReadsExactDistances) {
 }
 
 // ---------------------------------------------------------------------
-// Golden hashes with pruning forced through the session config: the
-// golden recipes run at clusters=2, far below the auto threshold, so
-// kPruned is the only way these runs take the pruned path — and they
-// must land on the exact same label maps as every prior PR.
-
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-img::ImageU8 scene_background(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 1, 200);
-  for (std::size_t y = height / 4; y < 3 * height / 4; ++y) {
-    for (std::size_t x = width / 4; x < 3 * width / 4; ++x) {
-      image(x, y) = 60;
-    }
-  }
-  for (std::size_t x = 0; x < width; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 scene_with_square(std::size_t width, std::size_t height,
-                               std::size_t x0, std::size_t y0) {
-  img::ImageU8 image = scene_background(width, height);
-  for (std::size_t y = y0; y < std::min(height, y0 + 5); ++y) {
-    for (std::size_t x = x0; x < std::min(width, x0 + 5); ++x) {
-      image(x, y) = 90;
-    }
-  }
-  return image;
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
-constexpr std::uint64_t kGoldenStreamHash = 6522647722573592175ULL;
-
-core::SegHdcConfig golden_config() {
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
-  return config;
-}
-
-TEST(PrunedAssignment, GoldenBatchHashUnchangedWithPruningForced) {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-
-  auto config = golden_config();
-  config.assign_mode = core::AssignMode::kPruned;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    util::ThreadPool pool(threads);
-    const core::SegHdcSession session(config,
-                                      core::SegHdcSession::Options{&pool});
-    const auto results = session.segment_many(images);
-    std::uint64_t hash = kFnvOffset;
-    for (const auto& result : results) {
-      hash = metrics::label_map_hash(result.labels, hash);
-    }
-    EXPECT_EQ(hash, kGoldenBatchHash)
-        << "pruned assignment drifted the golden batch (threads=" << threads
-        << ")";
-  }
-}
-
-TEST(PrunedAssignment, GoldenStreamHashUnchangedWithPruningForced) {
-  auto config = golden_config();
-  config.assign_mode = core::AssignMode::kPruned;
-  const core::SegHdcSession session(config);
-  core::SegHdcSession::Stream stream;
-  std::vector<img::ImageU8> frames;
-  frames.push_back(scene_background(32, 30));
-  frames.push_back(scene_with_square(32, 30, 8, 20));
-  frames.push_back(scene_with_square(32, 30, 9, 20));
-  frames.push_back(scene_with_square(32, 30, 9, 20));  // replay
-  frames.push_back(scene_background(32, 30));
-  std::uint64_t hash = kFnvOffset;
-  for (const auto& frame : frames) {
-    const auto warm = session.segment_stream(frame, stream);
-    hash = metrics::label_map_hash(warm.result.labels, hash);
-  }
-  EXPECT_EQ(hash, kGoldenStreamHash)
-      << "pruned assignment drifted the golden stream";
-}
-
-// ---------------------------------------------------------------------
 // SEGHDC_ASSIGN_MODE: config wins, env fills in for kAuto, malformed
 // values are hard errors.
 
 TEST(AssignModeEnv, ParsingAndPrecedence) {
   const AssignModeEnvGuard guard;
-  const auto points = make_points(10, 256, 37);
+  // Tight families seeded one per family settle at once, so the bound
+  // filter skips pairs from iteration 1 on: candidates_pruned > 0 shows
+  // kAuto ran the filter, == 0 that the run scanned exhaustively.
+  const auto points = make_families(2, 10, 256, 5, 37);
   const auto seeds = first_n_seeds(2);
+  const auto filtered = [&](const HvKMeansConfig& config) {
+    return HvKMeans(config).run(points, {}, seeds).ops.candidates_pruned > 0;
+  };
 
-  // Malformed value: constructing the clusterer throws, it never falls
-  // back silently.
-  setenv("SEGHDC_ASSIGN_MODE", "fastest", 1);
-  EXPECT_THROW(HvKMeans(HvKMeansConfig{.clusters = 2}),
-               std::invalid_argument);
-
-  // kAuto + env "pruned": k=2 is far below the auto threshold, so the
-  // pruned path running proves the env override took effect.
-  setenv("SEGHDC_ASSIGN_MODE", "pruned", 1);
-  {
-    const HvKMeans kmeans(HvKMeansConfig{.clusters = 2, .iterations = 3});
-    EXPECT_TRUE(kmeans.run(points, {}, seeds).pruned_assignment);
+  // Malformed values, the retired "pruned" mode included: constructing
+  // the clusterer throws, it never falls back silently.
+  for (const char* value : {"fastest", "pruned"}) {
+    setenv("SEGHDC_ASSIGN_MODE", value, 1);
+    try {
+      const HvKMeans kmeans(HvKMeansConfig{.clusters = 2});
+      ADD_FAILURE() << "SEGHDC_ASSIGN_MODE=" << value << " did not throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("SEGHDC_ASSIGN_MODE must be one of "
+                            "auto|exhaustive, got '") +
+                    value + "'");
+    }
   }
 
-  // Explicit config beats the environment.
-  {
-    const HvKMeans kmeans(HvKMeansConfig{
-        .clusters = 2, .iterations = 3,
-        .assign_mode = AssignMode::kExhaustive});
-    EXPECT_FALSE(kmeans.run(points, {}, seeds).pruned_assignment);
-  }
+  // kAuto + env "exhaustive": the override takes effect.
+  setenv("SEGHDC_ASSIGN_MODE", "exhaustive", 1);
+  EXPECT_FALSE(filtered(HvKMeansConfig{.clusters = 2, .iterations = 3}));
 
-  // env "auto" is accepted and leaves the threshold rule in charge.
+  // env "auto" is accepted and leaves the filter in charge.
   setenv("SEGHDC_ASSIGN_MODE", "auto", 1);
-  {
-    const HvKMeans kmeans(HvKMeansConfig{.clusters = 2, .iterations = 3});
-    EXPECT_FALSE(kmeans.run(points, {}, seeds).pruned_assignment);
-  }
+  EXPECT_TRUE(filtered(HvKMeansConfig{.clusters = 2, .iterations = 3}));
 
-  // No override: kAuto prunes exactly from prune_min_clusters up.
+  // No override: kAuto filters, and an explicit kExhaustive config does
+  // not.
   unsetenv("SEGHDC_ASSIGN_MODE");
-  {
-    const HvKMeans kmeans(HvKMeansConfig{
-        .clusters = 2, .iterations = 3, .prune_min_clusters = 2});
-    EXPECT_TRUE(kmeans.run(points, {}, seeds).pruned_assignment);
-  }
-  {
-    const HvKMeans kmeans(HvKMeansConfig{
-        .clusters = 2, .iterations = 3, .prune_min_clusters = 3});
-    EXPECT_FALSE(kmeans.run(points, {}, seeds).pruned_assignment);
-  }
+  EXPECT_TRUE(filtered(HvKMeansConfig{.clusters = 2, .iterations = 3}));
+  EXPECT_FALSE(filtered(HvKMeansConfig{
+      .clusters = 2, .iterations = 3,
+      .assign_mode = AssignMode::kExhaustive}));
 }
 
 }  // namespace
