@@ -53,6 +53,29 @@ ColorEncoder::ColorEncoder(const ColorEncoderConfig& config, util::Rng& rng)
         std::make_unique<hdc::LevelItemMemory>(d_c, std::move(offsets), rng));
     randoms_.push_back(nullptr);
   }
+
+  // Place every level HV at its channel's slice of a full-width row: its
+  // words shifted up to the slice's first bit. The rows are copies of
+  // the ladders above, so no randomness is drawn here.
+  placed_ = hdc::HvBlock(config_.dim, config_.channels * kLevels);
+  std::size_t slice_begin = 0;
+  for (std::size_t c = 0; c < config_.channels; ++c) {
+    const std::size_t word = slice_begin / 64;
+    const std::size_t shift = slice_begin % 64;
+    for (std::size_t v = 0; v < kLevels; ++v) {
+      const auto level = channel_hv(c, static_cast<std::uint8_t>(v)).words();
+      const auto row = placed_.row(c * kLevels + v);
+      for (std::size_t w = 0; w < level.size(); ++w) {
+        row[word + w] |= level[w] << shift;
+        // The level's padding bits are zero, so a spill past the row's
+        // last word would carry none.
+        if (shift != 0 && word + w + 1 < row.size()) {
+          row[word + w + 1] |= level[w] >> (64 - shift);
+        }
+      }
+    }
+    slice_begin += channel_dims_[c];
+  }
 }
 
 std::size_t ColorEncoder::channel_dim(std::size_t channel) const {
@@ -77,19 +100,23 @@ const hdc::HyperVector& ColorEncoder::channel_hv(std::size_t channel,
   return ladders_[channel]->at(value);
 }
 
+std::span<const std::uint64_t> ColorEncoder::placed(
+    std::size_t channel, std::uint8_t value) const {
+  util::expects(channel < config_.channels,
+                "ColorEncoder::placed channel in range");
+  return placed_.row(channel * kLevels + value);
+}
+
 hdc::HyperVector ColorEncoder::encode(
     std::span<const std::uint8_t> values) const {
   util::expects(values.size() == config_.channels,
                 "ColorEncoder::encode needs one value per channel");
-  if (config_.channels == 1) {
-    return channel_hv(0, values[0]);
+  const auto first = placed(0, values[0]);
+  std::vector<std::uint64_t> words(first.begin(), first.end());
+  for (std::size_t c = 1; c < config_.channels; ++c) {
+    hdc::kernels::xor_words(words, words, placed(c, values[c]));
   }
-  std::vector<hdc::HyperVector> parts;
-  parts.reserve(config_.channels);
-  for (std::size_t c = 0; c < config_.channels; ++c) {
-    parts.push_back(channel_hv(c, values[c]));
-  }
-  return hdc::HyperVector::concat(parts);
+  return hdc::HyperVector::from_words(config_.dim, words);
 }
 
 }  // namespace seghdc::core

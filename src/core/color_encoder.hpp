@@ -20,6 +20,12 @@
 // which reproduces the paper's ladder exactly when uc >= 1 and degrades
 // gracefully (still monotone, still Manhattan-proportional) when it is
 // not.
+//
+// Binding tables: next to each channel's ladder the encoder keeps its
+// 256 level HVs *placed* at the channel's slice of the full dim-bit
+// color HV, zeros elsewhere. A color HV is then the XOR of one placed
+// row per channel, so the session's encode binds a pixel as
+// row HV ^ column HV ^ the placed rows.
 #ifndef SEGHDC_CORE_COLOR_ENCODER_HPP
 #define SEGHDC_CORE_COLOR_ENCODER_HPP
 
@@ -31,6 +37,7 @@
 #include "src/core/config.hpp"
 #include "src/hdc/hypervector.hpp"
 #include "src/hdc/item_memory.hpp"
+#include "src/hdc/kernels.hpp"
 #include "src/util/rng.hpp"
 
 namespace seghdc::core {
@@ -63,8 +70,14 @@ class ColorEncoder {
   const hdc::HyperVector& channel_hv(std::size_t channel,
                                      std::uint8_t value) const;
 
+  /// Packed words of channel c's HV for `value`, placed at the
+  /// channel's slice of a dim-bit HV (zeros outside it). XORing one
+  /// placed row per channel gives the concatenated color HV.
+  std::span<const std::uint64_t> placed(std::size_t channel,
+                                        std::uint8_t value) const;
+
   /// Concatenated color HV for a pixel's channel values
-  /// (values.size() must equal channels).
+  /// (values.size() must equal channels): the XOR of their placed rows.
   hdc::HyperVector encode(std::span<const std::uint8_t> values) const;
 
  private:
@@ -75,6 +88,8 @@ class ColorEncoder {
   // depending on the encoding variant.
   std::vector<std::unique_ptr<hdc::LevelItemMemory>> ladders_;
   std::vector<std::unique_ptr<hdc::RandomItemMemory>> randoms_;
+  /// Row channel * 256 + value: channel_hv(channel, value) placed.
+  hdc::HvBlock placed_;
 };
 
 }  // namespace seghdc::core

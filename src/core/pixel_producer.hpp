@@ -17,8 +17,9 @@ namespace seghdc::core {
 
 /// Stateless binder with op accounting. This is the REFERENCE binder
 /// (one HyperVector per call) used by tests and ablations; the pipeline
-/// itself binds straight into HvBlock rows via kernels::xor_words (see
-/// SegHdc::encode) and accounts the same bind_xor_bits there.
+/// itself binds straight into HvBlock rows from the encoder tables via
+/// kernels::xor_words (see SegHdcSession::encode_impl, step 3) and
+/// accounts the same bind_xor_bits there, d per unique point.
 class PixelProducer {
  public:
   /// pixel = position XOR color. Dimensions must match.

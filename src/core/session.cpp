@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -91,16 +92,6 @@ std::size_t band_rows_for(std::size_t tile_rows,
   return std::min(height, ((rows - 1) / block + 1) * block);
 }
 
-/// Copies `count` consecutive rows of `from`, starting at `from_first`,
-/// into `to` at `to_first`: one contiguous block, since an HvBlock keeps
-/// its rows back to back. `count` must be >= 1.
-void copy_rows(const hdc::HvBlock& from, std::size_t from_first,
-               hdc::HvBlock& to, std::size_t to_first, std::size_t count) {
-  const std::size_t words = from.words_per_hv();
-  std::ranges::copy(from.words().subspan(from_first * words, count * words),
-                    to.row(to_first).data());
-}
-
 /// FNV-1a over raw bytes: the fast "did this band change?" check for the
 /// stream path. Never trusted alone — a hash hit is confirmed with an
 /// exact byte compare before any cache reuse (collisions must not be
@@ -148,12 +139,10 @@ struct SegHdcSession::EncoderState {
             rng) {}
 };
 
-/// Reusable per-worker arena for encode: the row bands and the memoised
-/// position/color HVs. The HV caches are keyed by encoder state and
-/// survive across images of the same geometry (their values are pure
-/// functions of the state), so a worker streaming similar frames stops
-/// re-deriving the same HVs; the per-image containers are cleared
-/// (capacity retained) between calls.
+/// Reusable per-worker arena for encode: the row bands' dedup tables and
+/// the unique-ratio reserve hint. The per-image containers are cleared
+/// (capacity retained) between calls; no HV is kept, every row is bound
+/// from the encoder tables.
 struct SegHdcSession::EncodeScratch {
   struct UniqueRef {
     std::size_t x, y;  ///< representative pixel
@@ -163,12 +152,11 @@ struct SegHdcSession::EncodeScratch {
   /// One row band of the encode, a whole number of block rows high: its
   /// local dedup table and, per local unique point, its first-occurrence
   /// ref and pixel weight. No dedup key is in two bands, so the band's
-  /// points are global IDs offset + local. A stream's bands also cache
-  /// what reusing them takes: the band's pixel-byte hash, its per-pixel
-  /// local ids, and its bound rows. Band-local encode outputs are pure
-  /// functions of the dedup keys (the position HV depends only on the
-  /// block indices, the color HV only on the quantised color), so an
-  /// unchanged band's cache IS its re-encode, bit for bit.
+  /// points are global IDs offset + local. A stream's bands also keep
+  /// what skipping their scan takes: the band's pixel-byte hash and its
+  /// per-pixel local ids. The table is a pure function of the band's
+  /// bytes, so an unchanged band's table IS its rescan, bit for bit; its
+  /// rows are bound again like any other band's.
   struct Band {
     std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
     std::vector<UniqueRef> refs;
@@ -180,11 +168,10 @@ struct SegHdcSession::EncodeScratch {
     bool reused = false;
     // The stream cache, untouched by cold encodes:
     std::uint64_t hash = 0;
-    /// False until the band's table AND rows are fully rebuilt (a throw
-    /// mid-rebuild must not leave a half-cache eligible for reuse).
+    /// False until the band's table is fully rebuilt (a throw mid-scan
+    /// must not leave a half-table eligible for reuse).
     bool valid = false;
     std::vector<std::uint32_t> local_ids;  ///< per band pixel
-    hdc::HvBlock hvs;                      ///< per local unique point
 
     void begin_band(std::size_t reserve) {
       key_to_local.clear();
@@ -200,32 +187,6 @@ struct SegHdcSession::EncodeScratch {
   /// images (noise, photos) don't rehash repeatedly mid-scan. Starts at
   /// the old fixed 1/4 heuristic.
   double last_unique_ratio = 0.25;
-  // Node-based maps: value addresses are stable across rehashing, so the
-  // per-point views below may point into them.
-  std::unordered_map<std::uint64_t, hdc::HyperVector> position_cache;
-  std::unordered_map<std::uint32_t, hdc::HyperVector> color_cache;
-  std::vector<const hdc::HyperVector*> position_of;
-  std::vector<const hdc::HyperVector*> color_of;
-  const EncoderState* cached_state = nullptr;
-
-  void begin_image(const EncoderState& state, std::size_t dim) {
-    if (cached_state != &state) {
-      position_cache.clear();
-      color_cache.clear();
-      cached_state = &state;
-    }
-    // Backstop for adversarial color churn (high-entropy RGB streams):
-    // cap the cross-image cache by payload bytes, not entries, so the
-    // bound holds on edge devices at any dim. ~8 MB of packed words per
-    // worker, floored/ceilinged so small dims don't drown in node
-    // overhead and large dims keep a useful working set.
-    const std::size_t word_budget = (8u << 20) / sizeof(std::uint64_t);
-    const std::size_t entry_cap = std::clamp<std::size_t>(
-        word_budget / hdc::kernels::words_for_dim(dim), 1024, 1u << 16);
-    if (color_cache.size() >= entry_cap) {
-      color_cache.clear();
-    }
-  }
 };
 
 /// Temporal state for one ordered frame stream: its geometry (the band
@@ -252,9 +213,8 @@ struct SegHdcSession::StreamState {
     has_result = false;
     frame_index = 0;
     last_stats = StreamFrameStats();
-    // The band caches are temporal history and go; the rest of scratch
-    // is kept: its memoised position/color HVs are pure functions of the
-    // encoder state.
+    // The band tables are temporal history and go; the unique-ratio
+    // reserve hint stays, it only sizes the next scan's reserves.
     scratch.bands.clear();
   }
 };
@@ -363,9 +323,10 @@ SegmentationResult SegHdcSession::cluster_and_finalize(
 
 /// The session-owned scratch used by single-image segment()/encode()
 /// calls, so a plain `for (image : stream) session.segment(image)` loop
-/// keeps its memoised position/color HVs warm between frames. Callers
-/// must hold scratch_mutex_; concurrent callers that lose the try_lock
-/// fall back to a private scratch (identical output, cold caches).
+/// reuses its band tables' capacity and unique-ratio reserve hint
+/// between frames. Callers must hold scratch_mutex_; concurrent callers
+/// that lose the try_lock fall back to a private scratch (identical
+/// output, cold reserves).
 SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
   if (!shared_scratch_) {
     shared_scratch_ = std::make_unique<EncodeScratch>();
@@ -379,7 +340,6 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         const StreamState* stream) const {
   const PositionEncoder& position_encoder = state.position;
   const ColorEncoder& color_encoder = state.color;
-  scratch.begin_image(state, config_.dim);
 
   EncodedImage encoded;
   encoded.width = image.width();
@@ -435,7 +395,7 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
             return;
           }
           band.hash = hash;
-          band.valid = false;  // until step 4 refreshes its rows
+          band.valid = false;  // until the scan below completes
           band.local_ids.resize(band_pixels);
           local_ids = band.local_ids.data();
         }
@@ -464,6 +424,9 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
             }
             local_ids[(y - y_begin) * width + x] = local;
           }
+        }
+        if (stream != nullptr) {
+          band.valid = true;
         }
       },
       /*grain=*/1);
@@ -506,97 +469,44 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
       },
       /*grain=*/1);
 
-  // --- Step 3: memoise the position and color HVs of every unique
-  // point of a scanned band. Position HVs repeat across every color in a
-  // block and color HVs repeat across blocks, so each distinct HV is
-  // built exactly once per session geometry; the per-point work left
-  // over is one word-parallel XOR. ---
-  encoded.intensities.resize(n_unique);
-  auto& position_of = scratch.position_of;
-  auto& color_of = scratch.color_of;
-  position_of.assign(n_unique, nullptr);
-  color_of.assign(n_unique, nullptr);
-  std::uint64_t binds = 0;
-  for (std::size_t t = 0; t < band_count; ++t) {
-    const auto& band = bands[t];
-    for (std::size_t local = 0; local < band.refs.size(); ++local) {
-      const std::size_t u = band.offset + local;
-      const auto& ref = band.refs[local];
-      encoded.intensities[u] =
-          channels == 1 ? ref.color[0]
-                        : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-      if (band.reused) {
-        continue;  // its row is copied from the band's cache in step 4
-      }
-      ++binds;
-      const std::uint64_t position_key =
-          (static_cast<std::uint64_t>(position_encoder.row_block(ref.y))
-           << 20) |
-          position_encoder.col_block(ref.x);
-      auto pos_it = scratch.position_cache.find(position_key);
-      if (pos_it == scratch.position_cache.end()) {
-        pos_it = scratch.position_cache
-                     .emplace(position_key,
-                              position_encoder.encode(ref.y, ref.x))
-                     .first;
-      }
-      position_of[u] = &pos_it->second;
-      const std::uint32_t color_key =
-          (static_cast<std::uint32_t>(ref.color[0]) << 16) |
-          (static_cast<std::uint32_t>(ref.color[1]) << 8) | ref.color[2];
-      auto color_it = scratch.color_cache.find(color_key);
-      if (color_it == scratch.color_cache.end()) {
-        color_it =
-            scratch.color_cache
-                .emplace(color_key,
-                         color_encoder.encode(std::span<const std::uint8_t>(
-                             ref.color.data(), channels)))
-                .first;
-      }
-      color_of[u] = &color_it->second;
-    }
-  }
-  // Bind position x color straight into the packed block, data-parallel
-  // over unique points. No per-point HyperVector is allocated; each row
-  // is one fused XOR over cached word spans.
-  encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
-  pool().parallel_for(
-      0, n_unique,
-      [&](std::size_t u) {
-        if (position_of[u] != nullptr) {
-          hdc::kernels::xor_words(encoded.unique_hvs.row(u),
-                                  position_of[u]->words(),
-                                  color_of[u]->words());
-        }
-      },
-      /*grain=*/64);
-  encoded.ops.bind_xor_bits += binds * config_.dim;
-
-  // --- Step 4 (stream only): one contiguous block copy per band. A
-  // reused band's cached rows fill its slice of the image's rows; a
-  // scanned band's fresh rows refresh its cache for the next frame. ---
-  if (stream != nullptr) {
+  // --- Step 3: bind every unique point of every band straight from the
+  // encoder tables, data-parallel over points: row u = row HV ^ column
+  // HV ^ one placed color row per channel, the concatenated color HV
+  // without building it. A reused band is bound like a scanned one; its
+  // reuse only skipped the scan. ---
+  {
+    const obs::SpanScope span("encode_bind", "core", "points", n_unique);
+    encoded.intensities.resize(n_unique);
+    encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
+    const auto bands_end =
+        bands.begin() + static_cast<std::ptrdiff_t>(band_count);
     pool().parallel_for(
-        0, band_count,
-        [&](std::size_t t) {
-          auto& band = bands[t];
-          const std::size_t count = band.refs.size();
-          if (band.reused) {
-            copy_rows(band.hvs, 0, encoded.unique_hvs, band.offset, count);
-            return;
+        0, n_unique,
+        [&](std::size_t u) {
+          // Every band holds >= 1 point, so offsets strictly increase.
+          const auto& band = *std::prev(std::ranges::upper_bound(
+              bands.begin(), bands_end, u, {}, &EncodeScratch::Band::offset));
+          const auto& ref = band.refs[u - band.offset];
+          encoded.intensities[u] =
+              channels == 1
+                  ? ref.color[0]
+                  : img::luma(ref.color[0], ref.color[1], ref.color[2]);
+          const auto row = encoded.unique_hvs.row(u);
+          hdc::kernels::xor_words(row, position_encoder.row_hv(ref.y).words(),
+                                  position_encoder.col_hv(ref.x).words());
+          for (std::size_t c = 0; c < channels; ++c) {
+            hdc::kernels::xor_words(row, row,
+                                    color_encoder.placed(c, ref.color[c]));
           }
-          band.hvs = hdc::HvBlock(config_.dim, count);
-          copy_rows(encoded.unique_hvs, band.offset, band.hvs, 0, count);
-          band.valid = true;
         },
-        /*grain=*/1);
+        /*grain=*/64);
   }
+  encoded.ops.bind_xor_bits += n_unique * config_.dim;
 
-  // --- Step 5: fault injection corrupts the image's rows at the
+  // --- Step 4: fault injection corrupts the image's rows at the
   // configured bit-error rate (models storing them in an approximate
-  // memory). It runs after step 4 so the band caches stay clean, and
-  // over every row in global order, so the sequential fault RNG stream
-  // is the same whichever bands were reused. ---
+  // memory). It runs over every row in global order, so the sequential
+  // fault RNG stream is the same whichever bands were reused. ---
   if (config_.bit_error_rate > 0.0) {
     util::Rng fault_rng(config_.seed ^ 0xFA017ULL);
     for (std::size_t u = 0; u < encoded.unique_hvs.count(); ++u) {

@@ -58,7 +58,10 @@ namespace seghdc::core {
 /// Per-frame observability for the temporal stream path
 /// (`SegHdcSession::segment_stream`): what the warm-start machinery
 /// actually did for this frame, so serving dashboards and the bench can
-/// report measured reuse instead of assumed reuse.
+/// report measured reuse instead of assumed reuse. Band reuse saves the
+/// dedup scan only: every encoded frame binds all its unique points, so
+/// its `ops.bind_xor_bits` is unique points x dim, warm or cold; a
+/// replayed frame's is 0.
 struct StreamFrameStats {
   /// 0-based index of this frame within its stream.
   std::size_t frame_index = 0;
@@ -70,8 +73,8 @@ struct StreamFrameStats {
   bool replayed = false;
   /// Row bands in the frame's encode layout, the cold encode's bands.
   std::size_t tiles_total = 0;
-  /// Bands whose pixel bytes were unchanged — dedup table and encoded
-  /// HVs reused from the previous frame.
+  /// Bands whose pixel bytes were unchanged — dedup scan skipped, the
+  /// previous frame's table reused; their points are bound again.
   std::size_t tiles_reused = 0;
   /// Bands re-encoded because their pixels changed.
   std::size_t tiles_encoded = 0;
@@ -114,11 +117,11 @@ class SegHdcSession {
 
   /// Opaque reusable encode arena for external pipeline drivers (the
   /// serving layer in src/serve/): one per worker thread, passed to the
-  /// `encode`/`segment` overloads below, it keeps the dedup tables and
-  /// memoised position/color HVs warm across that worker's images
-  /// without contending on the session-owned shared scratch. Movable,
-  /// not copyable; NOT safe to share between concurrent calls. A
-  /// default-constructed Scratch is cold but valid.
+  /// `encode`/`segment` overloads below, it keeps the band dedup tables'
+  /// capacity and the unique-ratio reserve hint warm across that
+  /// worker's images without contending on the session-owned shared
+  /// scratch. Movable, not copyable; NOT safe to share between
+  /// concurrent calls. A default-constructed Scratch is cold but valid.
   class Scratch {
    public:
     Scratch();
@@ -134,7 +137,7 @@ class SegHdcSession {
   };
 
   /// Temporal state for one ordered frame sequence (camera feed, video):
-  /// the previous frame's pixel bytes, the per-band dedup/HV caches, the
+  /// the previous frame's pixel bytes, the per-band dedup tables, the
   /// previous result (for byte-identical replay), and the previous
   /// K-Means centroids (for warm seeding). Create one per stream and
   /// feed it consecutive frames through `segment_stream`; `reset()`
@@ -224,22 +227,24 @@ class SegHdcSession {
   ///     fraction of the iteration budget.
   ///   - Row bands whose pixel bytes are unchanged since the previous
   ///     frame (content hash + exact byte compare) reuse their cached
-  ///     dedup table and encoded HVs instead of re-encoding.
+  ///     dedup table instead of scanning again. Their points are still
+  ///     bound from the encoder tables, so a warm frame's
+  ///     `ops.bind_xor_bits` is unique points x dim, as on a cold frame.
   ///   - A frame byte-identical to its predecessor replays the cached
   ///     previous result outright (bit-for-bit equal labels, zero
-  ///     pipeline work).
+  ///     pipeline work, all op counts 0).
   /// The FIRST frame of a stream (and the first after `reset()` or a
   /// geometry change) scans every band like a cold encode:
   /// bit-identical to `segment(frame)`, op counts included.
   /// Deterministic: the same frame sequence produces bit-identical
   /// labels at every pool size, band height, and kernel
-  /// backend (band caches change what is recomputed, never what is
+  /// backend (band reuse changes what is rescanned, never what is
   /// computed). Thread-safe across *streams* (const session state is
   /// internally synchronised); calls on one Stream must be externally
-  /// ordered. Every config streams on the band cache: with dedup off a
-  /// band caches one row per pixel, and fault injection runs over the
-  /// image's rows after the caches are refreshed, so reuse never changes
-  /// the injected faults.
+  /// ordered. Every config streams on the band tables: with dedup off a
+  /// band's table holds one point per pixel, and fault injection runs
+  /// over all the image's bound rows in global order, so reuse never
+  /// changes the injected faults.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
 
@@ -255,9 +260,10 @@ class SegHdcSession {
 
   /// The one encode, on one band layout per geometry. Cold images
   /// (stream == nullptr) scan every row band; a stream's frames reuse
-  /// the bands whose bytes are unchanged since the previous frame and
-  /// refresh the caches of the rest. Output is bit-identical either
-  /// way; op counts reflect the work actually done.
+  /// the tables of the bands whose bytes are unchanged since the
+  /// previous frame and rescan the rest. Every unique point is then
+  /// bound from the encoder tables. Output is bit-identical either way;
+  /// op counts reflect the work actually done.
   EncodedImage encode_impl(const img::ImageU8& image,
                            const EncoderState& state, EncodeScratch& scratch,
                            const StreamState* stream = nullptr) const;

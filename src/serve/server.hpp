@@ -19,8 +19,9 @@
 // overlaps the clustering of another; inside a stage the session fans
 // the per-image work (tiled encode bands, K-Means assignment/update)
 // out onto the configured util::ThreadPool. Each encode worker owns a
-// reusable SegHdcSession::Scratch arena, so sustained traffic stops
-// re-deriving position/color HVs exactly like `segment_many` workers do.
+// reusable SegHdcSession::Scratch arena, so sustained traffic reuses its
+// band tables' capacity and unique-ratio reserve hint exactly like
+// `segment_many` workers do.
 //
 // Guarantees:
 //   - Determinism: every delivered result is bit-identical to

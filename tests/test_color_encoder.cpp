@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "src/core/color_encoder.hpp"
 #include "src/hdc/distances.hpp"
@@ -139,6 +142,38 @@ TEST(ColorEncoder, RandomCodebookHasNoStructure) {
                                            encoder.channel_hv(0, 255));
   EXPECT_NEAR(near, 0.5, 0.05);
   EXPECT_NEAR(far, 0.5, 0.05);
+}
+
+TEST(ColorEncoder, EncodeEqualsConcatOfChannelHvs) {
+  // encode() XORs one placed row per channel; that must be exactly the
+  // concatenation of the channel HVs, at every level of every channel,
+  // including dims whose RGB slices start mid-word.
+  for (const std::size_t channels : {1u, 3u}) {
+    for (const std::size_t dim : {2 * channels, std::size_t{1000},
+                                  std::size_t{10000}}) {
+      for (const auto encoding :
+           {ColorEncoding::kLevelLadder, ColorEncoding::kRandom}) {
+        SCOPED_TRACE("channels=" + std::to_string(channels) +
+                     " dim=" + std::to_string(dim) + " encoding=" +
+                     std::to_string(static_cast<int>(encoding)));
+        const auto encoder = make(dim, channels, encoding);
+        for (std::size_t level = 0; level < 256; ++level) {
+          // Channel c steps by the odd stride 2c + 1, which visits all
+          // 256 levels, in an order of its own.
+          std::array<std::uint8_t, 3> values{};
+          std::vector<hdc::HyperVector> parts;
+          for (std::size_t c = 0; c < channels; ++c) {
+            values[c] = static_cast<std::uint8_t>(level * (2 * c + 1));
+            parts.push_back(encoder.channel_hv(c, values[c]));
+          }
+          ASSERT_EQ(encoder.encode(std::span<const std::uint8_t>(
+                        values.data(), channels)),
+                    hdc::HyperVector::concat(parts))
+              << "level " << level;
+        }
+      }
+    }
+  }
 }
 
 TEST(ColorEncoder, DeterministicGivenSeed) {

@@ -398,23 +398,31 @@ TEST(TraceDeterminism, GoldenBatchHashUnchangedWithTracingOn) {
   // One direct segment() too: the single-image path tiles its encode
   // (segment_many serialises workers to one band), so this is what
   // exercises the per-band spans.
-  session.segment(golden_batch()[0]);
+  const auto direct = session.segment(golden_batch()[0]);
   // The traced run actually recorded the pipeline spans.
   const auto events = trace.events();
   EXPECT_FALSE(events.empty());
   bool saw_kmeans = false;
   bool saw_band = false;
+  bool saw_bind = false;
   bool saw_update = false;
   bool saw_snapshot = false;
   for (const auto& event : events) {
     const std::string name = event.name;
     saw_kmeans = saw_kmeans || name == "kmeans";
     saw_band = saw_band || name == "encode_band";
+    // The bind span carries the points it bound: the direct segment()
+    // bound every unique point of its image.
+    saw_bind = saw_bind ||
+               (name == "encode_bind" && event.arg1_key != nullptr &&
+                std::string(event.arg1_key) == "points" &&
+                event.arg1_value == direct.unique_points);
     saw_update = saw_update || name == "kmeans_update";
     saw_snapshot = saw_snapshot || name == "centroid_snapshot";
   }
   EXPECT_TRUE(saw_kmeans);
   EXPECT_TRUE(saw_band);
+  EXPECT_TRUE(saw_bind);
   EXPECT_TRUE(saw_update);
   EXPECT_TRUE(saw_snapshot);
 }

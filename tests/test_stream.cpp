@@ -343,9 +343,9 @@ TEST(Stream, GoldenStreamHashStableAcrossTilesPoolsAndBackends) {
 
 TEST(Stream, DedupOffAndFaultStreamsReuseBands) {
   // Dedup off (key = pixel index) and fault injection (a post-pass over
-  // the merged rows, after the band caches are refreshed) stream on the
-  // same band cache as the default config. Each config's golden
-  // sequence keeps the hash of a full re-encode per frame; at a 0.3 bit
+  // all the frame's bound rows, in global order) stream on the same
+  // band tables as the default config. Each config's golden sequence
+  // keeps the hash of a full re-encode per frame; at a 0.3 bit
   // error rate the labels differ from the fault-free golden, so a fault
   // pass that skipped or reordered reused rows would move the hash.
   struct Case {
@@ -379,6 +379,9 @@ TEST(Stream, DedupOffAndFaultStreamsReuseBands) {
     EXPECT_TRUE(warm.stats.warm);
     EXPECT_GT(warm.stats.tiles_total, 0u);
     EXPECT_GT(warm.stats.tiles_reused, 0u);
+    // Reuse skips only the dedup scan: every point is bound again.
+    EXPECT_EQ(warm.result.ops.bind_xor_bits,
+              warm.result.unique_points * config.dim);
     EXPECT_GE(label_agreement(session.segment(moved).labels,
                               warm.result.labels, config.clusters),
               0.95);

@@ -5,18 +5,25 @@
 // pool size, labels, unique-point IDs, weights, and op counts must be
 // bit-identical to the one-band serial scan — on every registered
 // kernel backend. These suites pin that guarantee on band-boundary
-// edge geometries and on the golden batch hash.
+// edge geometries and on the golden batch hash, and pin every bound
+// row, cold or on a stream's reused bands, to the reference binder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "src/core/color_encoder.hpp"
+#include "src/core/kmeans.hpp"
+#include "src/core/pixel_producer.hpp"
+#include "src/core/position_encoder.hpp"
 #include "src/core/seghdc.hpp"
 #include "src/core/session.hpp"
 #include "src/hdc/simd/backend.hpp"
+#include "src/imaging/color.hpp"
 #include "src/metrics/segmentation_metrics.hpp"
 #include "src/util/parallel.hpp"
 
@@ -182,6 +189,256 @@ TEST(TiledEncode, RepeatedCallsReuseArenaWithoutDrift) {
   const auto second = session.segment(image);
   EXPECT_EQ(first.labels, second.labels);
   EXPECT_EQ(first.unique_points, second.unique_points);
+}
+
+// --- The bind against the reference binder: every encoded row must be
+// PixelProducer::produce(position HV, concatenated color HV) of its
+// unique point's first-occurrence pixel, with encoders drawn from
+// util::Rng(config.seed) in the session's order (position, then color).
+// The stream half re-derives a warm frame from those rows, so bands that
+// skipped their scan must still bind exactly the reference rows. ---
+
+/// The dedup key's quantisation: v moved to the midpoint of its bucket.
+std::uint8_t bucket_midpoint(std::uint8_t v, std::size_t shift) {
+  if (shift == 0) {
+    return v;
+  }
+  const unsigned mid = ((v >> shift) << shift) + ((1u << shift) >> 1);
+  return static_cast<std::uint8_t>(std::min(mid, 255u));
+}
+
+/// One reference-bound row per unique point of an encode, plus its
+/// intensity (the gray level, or the luma of the quantised color).
+struct ReferenceEncode {
+  std::vector<hdc::HyperVector> rows;
+  std::vector<std::uint8_t> intensities;
+};
+
+struct ReferenceBinder {
+  util::Rng rng;  // declared first: drawn by position, then by color
+  core::PositionEncoder position;
+  core::ColorEncoder color;
+  std::size_t shift;
+
+  ReferenceBinder(const core::SegHdcConfig& config, const img::ImageU8& image)
+      : rng(config.seed),
+        position(
+            core::PositionEncoderConfig{
+                .dim = config.dim,
+                .rows = image.height(),
+                .cols = image.width(),
+                .encoding = config.position_encoding,
+                .alpha = config.alpha,
+                .beta = config.beta,
+                .flip_unit_basis = config.flip_unit_basis,
+            },
+            rng),
+        color(
+            core::ColorEncoderConfig{
+                .dim = config.dim,
+                .channels = image.channels(),
+                .encoding = config.color_encoding,
+                .gamma = config.gamma,
+            },
+            rng),
+        shift(config.color_quantization_shift) {}
+
+  ReferenceEncode bind(const img::ImageU8& image,
+                       const core::EncodedImage& encoded) const {
+    const core::PixelProducer producer;
+    const std::size_t unique = encoded.unique_hvs.count();
+    ReferenceEncode reference{std::vector<hdc::HyperVector>(unique),
+                              std::vector<std::uint8_t>(unique, 0)};
+    std::vector<bool> seen(unique, false);
+    for (std::size_t p = 0; p < encoded.pixel_to_unique.size(); ++p) {
+      const std::uint32_t u = encoded.pixel_to_unique[p];
+      if (u >= unique || seen[u]) {
+        continue;
+      }
+      seen[u] = true;
+      const std::size_t x = p % image.width();
+      const std::size_t y = p / image.width();
+      std::array<std::uint8_t, 3> values{0, 0, 0};
+      std::vector<hdc::HyperVector> parts;
+      for (std::size_t c = 0; c < image.channels(); ++c) {
+        values[c] = bucket_midpoint(image(x, y, c), shift);
+        parts.push_back(color.channel_hv(c, values[c]));
+      }
+      reference.rows[u] = producer.produce(position.encode(y, x),
+                                           hdc::HyperVector::concat(parts));
+      reference.intensities[u] =
+          image.channels() == 1 ? values[0]
+                                : img::luma(values[0], values[1], values[2]);
+    }
+    return reference;
+  }
+};
+
+void expect_rows_match_reference(const core::EncodedImage& encoded,
+                                 const ReferenceEncode& reference) {
+  EXPECT_EQ(encoded.intensities, reference.intensities);
+  EXPECT_EQ(encoded.ops.bind_xor_bits,
+            encoded.unique_hvs.count() * encoded.unique_hvs.dim());
+  for (std::size_t u = 0; u < encoded.unique_hvs.count(); ++u) {
+    ASSERT_EQ(encoded.unique_hvs.to_hypervector(u), reference.rows[u])
+        << "unique point " << u;
+  }
+}
+
+/// The labels and margins `segment_stream` must return for the next
+/// frame when it follows the first on a stream, derived from their
+/// reference rows: the first frame clustered from the
+/// largest-color-difference seeds, the next warm-started from its
+/// majority centroids and stopped on convergence.
+core::SegmentationResult reference_warm_frame(
+    const core::SegHdcConfig& config, const core::EncodedImage& first_encoded,
+    const ReferenceEncode& first_reference,
+    const core::EncodedImage& next_encoded,
+    const ReferenceEncode& next_reference, util::ThreadPool& pool) {
+  core::HvKMeansConfig kmeans_config{
+      .clusters = config.clusters,
+      .iterations = config.iterations,
+      .distance = config.cluster_distance,
+      .assign_mode = config.assign_mode,
+      .stop_on_convergence = config.stop_on_convergence,
+      .pool = &pool,
+  };
+  const auto first_clustering = core::HvKMeans(kmeans_config).run(
+      hdc::HvBlock::from_hvs(first_reference.rows), first_encoded.weights,
+      core::largest_color_difference_seeds(first_reference.intensities,
+                                           config.clusters));
+  std::vector<hdc::HyperVector> warm;
+  for (const auto& centroid : first_clustering.centroids) {
+    warm.push_back(centroid.to_majority());
+  }
+  kmeans_config.stop_on_convergence = true;
+  const auto& rows = next_reference.rows;
+  const auto clustering = core::HvKMeans(kmeans_config)
+                              .run_from_centroids(hdc::HvBlock::from_hvs(rows),
+                                                  next_encoded.weights, warm);
+  std::vector<float> unique_margin;
+  for (const auto& row : rows) {
+    double best = std::numeric_limits<double>::infinity();
+    double second = std::numeric_limits<double>::infinity();
+    for (const auto& centroid : clustering.centroids) {
+      const double d = centroid.cosine_distance(row);
+      second = std::min(second, std::max(best, d));
+      best = std::min(best, d);
+    }
+    unique_margin.push_back(static_cast<float>(second - best));
+  }
+  core::SegmentationResult result;
+  result.iterations_run = clustering.iterations_run;
+  result.labels = img::LabelMap(next_encoded.width, next_encoded.height, 1, 0);
+  result.margins = img::ImageF32(next_encoded.width, next_encoded.height, 1);
+  for (std::size_t p = 0; p < next_encoded.pixel_to_unique.size(); ++p) {
+    const std::uint32_t u = next_encoded.pixel_to_unique[p];
+    result.labels.pixels()[p] = clustering.assignment[u];
+    result.margins.pixels()[p] = unique_margin[u];
+  }
+  return result;
+}
+
+/// The bind sweep: d (1000 and 10,000 leave the RGB channel slices off
+/// word boundaries) x position encoding x color encoding x gamma x
+/// quantisation shift x dedup.
+std::vector<core::SegHdcConfig> reference_bind_configs() {
+  std::vector<core::SegHdcConfig> configs;
+  for (const std::size_t dim : {384u, 1000u, 10000u}) {
+    for (const auto position : {core::PositionEncoding::kBlockDecayManhattan,
+                                core::PositionEncoding::kManhattan,
+                                core::PositionEncoding::kRandom}) {
+      for (const auto color :
+           {core::ColorEncoding::kLevelLadder, core::ColorEncoding::kRandom}) {
+        for (const std::size_t gamma : {1u, 3u}) {
+          for (const std::size_t shift : {0u, 3u}) {
+            for (const bool dedup : {true, false}) {
+              auto config = small_config();
+              config.dim = dim;
+              config.position_encoding = position;
+              config.color_encoding = color;
+              config.gamma = gamma;
+              config.color_quantization_shift = shift;
+              config.deduplicate = dedup;
+              config.compute_margins = true;
+              config.tile_rows = 4;
+              configs.push_back(config);
+            }
+          }
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+TEST(TiledEncode, RowsMatchReferenceBind) {
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool4(4);
+  const auto configs = reference_bind_configs();
+  for (const std::size_t channels : {1u, 3u}) {
+    // Row 1 of the second frame differs from the first: on the stream,
+    // the band holding it is scanned again and every other band is
+    // reused and bound again.
+    const auto first = textured_image(17, 13, channels);
+    auto next = first;
+    for (std::size_t x = 0; x < next.width(); ++x) {
+      for (std::size_t c = 0; c < channels; ++c) {
+        next(x, 1, c) = static_cast<std::uint8_t>(255 - next(x, 1, c));
+      }
+    }
+    for (const auto& config : configs) {
+      SCOPED_TRACE("channels=" + std::to_string(channels) +
+                   " dim=" + std::to_string(config.dim) + " position=" +
+                   std::to_string(static_cast<int>(config.position_encoding)) +
+                   " color=" +
+                   std::to_string(static_cast<int>(config.color_encoding)) +
+                   " gamma=" + std::to_string(config.gamma) + " shift=" +
+                   std::to_string(config.color_quantization_shift) +
+                   " dedup=" + std::to_string(config.deduplicate));
+      // gamma and shift only pick other ladder rows, which the encodes
+      // pin; the stream half runs at gamma 1 and shift 0.
+      const bool stream_half =
+          config.gamma == 1 && config.color_quantization_shift == 0;
+      const ReferenceBinder binder(config, first);
+      ReferenceEncode first_reference;
+      ReferenceEncode next_reference;
+      core::SegmentationResult expected_warm;
+      for (util::ThreadPool* pool : {&pool1, &pool4}) {
+        SCOPED_TRACE("threads=" + std::to_string(pool->thread_count()));
+        const core::SegHdcSession session(config,
+                                          core::SegHdcSession::Options{pool});
+        const auto first_encoded = session.encode(first);
+        const auto next_encoded = session.encode(next);
+        // The references take the one-thread encode's point numbering,
+        // which every pool must reproduce.
+        if (pool == &pool1) {
+          first_reference = binder.bind(first, first_encoded);
+          next_reference = binder.bind(next, next_encoded);
+          if (stream_half) {
+            expected_warm =
+                reference_warm_frame(config, first_encoded, first_reference,
+                                     next_encoded, next_reference, pool1);
+          }
+        }
+        expect_rows_match_reference(first_encoded, first_reference);
+        expect_rows_match_reference(next_encoded, next_reference);
+        if (!stream_half) {
+          continue;
+        }
+        core::SegHdcSession::Stream stream;
+        session.segment_stream(first, stream);
+        const auto warm = session.segment_stream(next, stream);
+        ASSERT_GT(warm.stats.tiles_total, 1u);
+        EXPECT_EQ(warm.stats.tiles_reused, warm.stats.tiles_total - 1);
+        EXPECT_EQ(warm.result.ops.bind_xor_bits,
+                  next_encoded.unique_hvs.count() * config.dim);
+        EXPECT_EQ(warm.result.labels, expected_warm.labels);
+        EXPECT_EQ(warm.result.margins, expected_warm.margins);
+        EXPECT_EQ(warm.result.iterations_run, expected_warm.iterations_run);
+      }
+    }
+  }
 }
 
 // --- Golden gate (mirrors tests/test_session.cpp and
