@@ -2,12 +2,12 @@
 // benchmark suite with eval::evaluate_seghdc and emits one
 // machine-readable EVAL_*.json (mIoU aggregates, chained label
 // fingerprint, wall clock, latency percentiles, measured op counts —
-// with git SHA/backend/CPU provenance like the BENCH_*.json files).
+// with git SHA/backend/CPU provenance).
 //
 //   ./bench_eval [--dataset BBBC005|DSB2018|MoNuSeg] [--images 12]
 //                [--dim 2000] [--paper] [--path server|batch|one_shot]
 //                [--batch 64] [--disk] [--check-paths]
-//                [--out out] [--tag eval]
+//                [--out out] [--tag eval] [--trace trace.json]
 //
 //   --disk         exports the synthetic suite to <out>/dataset_<name>
 //                  as PNG and evaluates through the DiskDataset loader —
@@ -16,14 +16,19 @@
 //   --check-paths  runs the sweep on ALL three execution paths and
 //                  exits 1 unless the label fingerprints and mIoU agree
 //                  bit for bit — the CI eval-smoke gate.
+//   --trace        records every span of the sweep and writes it as
+//                  Chrome-trace JSON, the file tools/trace_lint.py
+//                  checks.
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_report.hpp"
 #include "src/datasets/disk.hpp"
+#include "src/obs/trace.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/csv.hpp"
 
@@ -79,6 +84,11 @@ int main(int argc, char** argv) try {
                 images, dir.c_str());
   }
 
+  const std::string trace_path = cli.get("trace", "");
+  std::optional<obs::TraceSession> trace;
+  if (!trace_path.empty()) {
+    trace.emplace();
+  }
   std::vector<eval::SuiteResult> suites;
   if (check_paths) {
     for (const auto path : {eval::EvalPath::kOneShot, eval::EvalPath::kBatch,
@@ -90,6 +100,13 @@ int main(int argc, char** argv) try {
   } else {
     suites.push_back(
         eval::evaluate_seghdc(*dataset, images, config, options));
+  }
+  if (trace.has_value()) {
+    trace->write_json(trace_path);
+    std::printf("trace json -> %s (%zu events, %llu dropped)\n",
+                trace_path.c_str(), trace->events().size(),
+                static_cast<unsigned long long>(
+                    obs::Tracer::instance().dropped()));
   }
 
   std::printf("EVAL: %s, %zu images, d=%zu\n",

@@ -1,11 +1,8 @@
-// Machine-readable bench result emission: one small JSON file per bench
-// run (BENCH_serving.json / BENCH_throughput.json) carrying enough
-// provenance to compare numbers across commits and hosts — git SHA,
-// kernel backend, CPU features — plus the headline throughput and the
-// submit-to-done latency percentiles read back out of the serving
-// stack's obs::MetricsRegistry (ServerStats.latency / an obs::Histogram
-// are views over it, so the JSON and the Prometheus exposition agree by
-// construction).
+// Machine-readable dataset-eval emission: one EVAL_*.json per bench_eval
+// or bench_table1 run, carrying enough provenance to compare numbers
+// across commits and hosts — git SHA, kernel backend, CPU features —
+// plus per-suite mIoU, label fingerprint, throughput and the latency
+// percentiles read back out of the serving stack's obs::MetricsRegistry.
 #ifndef SEGHDC_BENCH_BENCH_REPORT_HPP
 #define SEGHDC_BENCH_BENCH_REPORT_HPP
 
@@ -18,7 +15,6 @@
 #include "src/eval/suite.hpp"
 #include "src/hdc/simd/backend.hpp"
 #include "src/hdc/simd/cpu_features.hpp"
-#include "src/obs/metrics.hpp"
 
 // Injected by bench/CMakeLists.txt from `git rev-parse` at configure
 // time (re-run cmake after committing to refresh it).
@@ -28,48 +24,14 @@
 
 namespace seghdc::bench {
 
-/// Writes the bench-result JSON. `extra` entries are appended verbatim
-/// as `"key": value` pairs, so the value must already be rendered JSON
-/// (a number, a quoted string, ...). Throws std::runtime_error when the
-/// file cannot be opened.
-inline void write_bench_json(
-    const std::string& path, const std::string& tool, double images_per_sec,
-    const obs::LatencyPercentiles& latency,
-    const std::vector<std::pair<std::string, std::string>>& extra = {}) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    throw std::runtime_error("write_bench_json: cannot open '" + path + "'");
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"tool\": \"%s\",\n"
-               "  \"git_sha\": \"%s\",\n"
-               "  \"kernel_backend\": \"%s\",\n"
-               "  \"cpu_features\": \"%s\",\n"
-               "  \"images_per_sec\": %.4f,\n"
-               "  \"latency_ms\": {\"p50\": %.6f, \"p95\": %.6f, "
-               "\"p99\": %.6f, \"window_count\": %llu, \"count\": %llu}",
-               tool.c_str(), SEGHDC_GIT_SHA,
-               hdc::simd::active_backend().name,
-               hdc::simd::cpu_feature_string().c_str(), images_per_sec,
-               latency.p50_seconds * 1e3, latency.p95_seconds * 1e3,
-               latency.p99_seconds * 1e3,
-               static_cast<unsigned long long>(latency.window_count),
-               static_cast<unsigned long long>(latency.count));
-  for (const auto& [key, value] : extra) {
-    std::fprintf(out, ",\n  \"%s\": %s", key.c_str(), value.c_str());
-  }
-  std::fprintf(out, "\n}\n");
-  std::fclose(out);
-  std::printf("bench json -> %s\n", path.c_str());
-}
-
 /// Writes the dataset-eval JSON (EVAL_table1.json, EVAL_eval.json, ...):
-/// the same provenance header as write_bench_json plus one object per
-/// evaluated suite — dataset, method, execution path, mIoU aggregates,
-/// the chained label fingerprint (decimal string: it is a full 64-bit
-/// value), wall clock, latency percentiles, and the measured op counts.
-/// `extra` entries are appended verbatim like in write_bench_json.
+/// a provenance header plus one object per evaluated suite — dataset,
+/// method, execution path, mIoU aggregates, the chained label
+/// fingerprint (decimal string: it is a full 64-bit value), wall clock,
+/// latency percentiles, and the measured op counts.
+/// `extra` entries are appended verbatim as `"key": value` pairs, so the
+/// value must already be rendered JSON (a number, a quoted string, ...).
+/// Throws std::runtime_error when the file cannot be opened.
 inline void write_eval_json(
     const std::string& path, const std::string& tool,
     const std::vector<eval::SuiteResult>& suites,

@@ -10,8 +10,9 @@ namespace seghdc::hdc {
 // The free kernels validate shapes once and forward to the
 // runtime-dispatched backend (src/hdc/simd/): call sites are oblivious
 // to which ISA implementation runs underneath, and every backend
-// returns the same integers. accumulate_counts_words is the one kernel
-// without a slot: it is the scalar set-bit walk itself.
+// returns the same integers. dot_counts_words and
+// accumulate_counts_words have no slot: each is the scalar set-bit walk
+// itself.
 
 namespace kernels {
 
@@ -36,7 +37,9 @@ void xor_words(std::span<std::uint64_t> dst,
 
 std::int64_t dot_counts_words(std::span<const std::int64_t> counts,
                               std::span<const std::uint64_t> words) {
-  return simd::active_backend().dot_counts(counts, words);
+  std::int64_t dot = 0;
+  for_each_set_bit_words(words, [&](std::size_t i) { dot += counts[i]; });
+  return dot;
 }
 
 std::int64_t accumulate_counts_words(std::span<std::int64_t> counts,

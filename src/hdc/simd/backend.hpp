@@ -68,17 +68,6 @@ struct KernelBackend {
   void (*xor_bind)(std::span<std::uint64_t> dst,
                    std::span<const std::uint64_t> a,
                    std::span<const std::uint64_t> b);
-  /// Bit-serial dot of an integer count vector against packed bits:
-  /// sum of counts[i] over set bits i. Kept in the vtable for the
-  /// gather-style callers (Accumulator::dot); the clustering hot loop
-  /// uses the bandwidth-bound plane formulation built on and_popcount
-  /// (hdc::CountPlanes in src/hdc/kernels.hpp) instead. There is no
-  /// accumulate slot: kernels::accumulate_counts_words is the scalar
-  /// set-bit walk for single rows, and the K-Means update folds its rows
-  /// bit-sliced in portable 64-bit words (hdc::StagedSum), the same code
-  /// on every backend.
-  std::int64_t (*dot_counts)(std::span<const std::int64_t> counts,
-                             std::span<const std::uint64_t> words);
   /// Bit-plane scatter backing kernels::CountPlanes::build: for every
   /// count i and every set bit b of counts[i], sets bit (i % 64) of
   /// storage[b * words_per_plane + i / 64]. `storage` arrives zeroed and

@@ -179,7 +179,6 @@ const KernelBackend kAvx2Backend{
     .hamming = avx2_hamming,
     .and_popcount = avx2_and_popcount,
     .xor_bind = avx2_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     .build_planes = avx2_build_planes,
 };
 

@@ -98,7 +98,6 @@ const KernelBackend kHarleySealBackend{
     .and_popcount = hs_and_popcount,
     // Plain XOR is already one op per word; nothing to fold.
     .xor_bind = detail::scalar_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     // The scatter is index arithmetic, not popcounts; nothing to fold.
     .build_planes = detail::scalar_build_planes,
 };

@@ -96,7 +96,6 @@ const KernelBackend kNeonBackend{
     .hamming = neon_hamming,
     .and_popcount = neon_and_popcount,
     .xor_bind = neon_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     // The scatter is index arithmetic; vcnt has nothing to add.
     .build_planes = detail::scalar_build_planes,
 };

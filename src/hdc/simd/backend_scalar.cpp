@@ -3,19 +3,9 @@
 // for bit-identical agreement against this one.
 #include "src/hdc/simd/backends_internal.hpp"
 
-#include "src/hdc/bitops.hpp"
-
 namespace seghdc::hdc::simd {
 
 namespace detail {
-
-std::int64_t scalar_dot_counts(std::span<const std::int64_t> counts,
-                               std::span<const std::uint64_t> words) {
-  std::int64_t sum = 0;
-  kernels::for_each_set_bit_words(words,
-                                  [&](std::size_t i) { sum += counts[i]; });
-  return sum;
-}
 
 void scalar_build_planes(std::span<const std::int64_t> counts,
                          std::span<std::uint64_t> storage,
@@ -46,7 +36,6 @@ const KernelBackend kScalarBackend{
     .hamming = detail::scalar_hamming,
     .and_popcount = detail::scalar_and_popcount,
     .xor_bind = detail::scalar_xor_bind,
-    .dot_counts = detail::scalar_dot_counts,
     .build_planes = detail::scalar_build_planes,
 };
 

@@ -1,7 +1,7 @@
 // Subsystem-internal glue between the backend TUs and the registry:
 // accessor declarations (one per TU — ISA-gated TUs return nullptr when
 // compiled out) and the shared scalar kernels that every backend reuses
-// for short spans, vector tails, and the gather-style dot_counts.
+// for short spans and vector tails.
 #ifndef SEGHDC_HDC_SIMD_BACKENDS_INTERNAL_HPP
 #define SEGHDC_HDC_SIMD_BACKENDS_INTERNAL_HPP
 
@@ -64,13 +64,6 @@ inline void scalar_xor_bind(std::span<std::uint64_t> dst,
     dst[w] = a[w] ^ b[w];
   }
 }
-
-/// Bit-serial count gather (sum of counts at set-bit indices). Shared by
-/// every backend's dot_counts slot: the access pattern is a gather, so
-/// word-level SIMD does not apply — the bandwidth-bound alternative is
-/// the CountPlanes formulation in src/hdc/kernels.hpp.
-std::int64_t scalar_dot_counts(std::span<const std::int64_t> counts,
-                               std::span<const std::uint64_t> words);
 
 /// Per-count countr_zero scatter — the reference for build_planes and
 /// the shared tail handler for partial 64-count blocks.

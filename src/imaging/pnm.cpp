@@ -59,11 +59,11 @@ std::string next_token(std::istream& in) {
   return token;
 }
 
-/// Strict non-negative integer parse, matching the no-silent-fallback
-/// convention of util::Cli::parse_size_list: every character must be a
-/// digit (std::stoull would accept "64x" as 64 and "-1" as a wrapped
-/// huge value) and overflow is a hard error, so a malformed header
-/// fails with an honest message instead of a misleading downstream one.
+/// Strict non-negative integer parse with no silent fallback: every
+/// character must be a digit (std::stoull would accept "64x" as 64 and
+/// "-1" as a wrapped huge value) and overflow is a hard error, so a
+/// malformed header fails with an honest message instead of a
+/// misleading downstream one.
 std::size_t next_size(std::istream& in, const char* what) {
   const std::string token = next_token(in);
   if (token.empty()) {

@@ -68,9 +68,9 @@ double mean(const std::vector<double>& values);
 
 /// FNV-1a over the raw label values, row-major — a byte-order
 /// independent fingerprint of a segmentation. The golden regression
-/// tests and bench_throughput's cross-thread-count equality check all
-/// share this one definition. Chain batches by passing the previous
-/// hash as `seed`.
+/// tests, bench_eval's cross-path check and perfbench's pinned label
+/// hashes all share this one definition. Chain batches by passing the
+/// previous hash as `seed`.
 std::uint64_t label_map_hash(const img::LabelMap& labels,
                              std::uint64_t seed = 14695981039346656037ULL);
 

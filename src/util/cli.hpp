@@ -3,23 +3,12 @@
 #ifndef SEGHDC_UTIL_CLI_HPP
 #define SEGHDC_UTIL_CLI_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace seghdc::util {
-
-enum class Digits { kOk, kMalformed, kOverflow };
-
-/// Parses a non-empty run of decimal digits into `value`, stopping at
-/// the first non-digit (kMalformed: signs and whitespace included) or
-/// the first digit that would overflow size_t (kOverflow); `value` is
-/// meaningful only on kOk. The one digit grammar behind the size lists
-/// and `WxH` specs.
-Digits parse_digits(std::string_view token, std::size_t& value);
 
 /// Parsed command line. Unknown options are collected rather than rejected
 /// so a caller can forward them; call `reject_unknown()` to enforce strict
@@ -28,9 +17,6 @@ Digits parse_digits(std::string_view token, std::size_t& value);
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
-
-  /// True when `--name` was present (with or without a value).
-  bool has(const std::string& name) const;
 
   /// String value of `--name`, or `fallback` if absent.
   std::string get(const std::string& name, const std::string& fallback) const;
@@ -59,27 +45,6 @@ class Cli {
   /// Throws std::invalid_argument when any parsed option is not in
   /// `known` — call after all get() calls with the full option list.
   void reject_unknown(const std::vector<std::string>& known) const;
-
-  /// Parses a comma/space/tab-separated size list ("1,2,4"). Zeros are
-  /// legal when `allow_zero` (e.g. tile-rows/queue lists use 0 to mean
-  /// auto/unbounded) and a hard error otherwise (thread lists). Shared
-  /// by the bench sweep flags. Malformed tokens ("4,x,8") and values
-  /// overflowing size_t throw std::invalid_argument — a sweep must run
-  /// exactly the list it was given, never a silently filtered one.
-  static std::vector<std::size_t> parse_size_list(const std::string& spec,
-                                                  bool allow_zero = true);
-
-  /// Width and height parsed from a `WxH` spec ("320x240").
-  struct Size2 {
-    std::size_t width = 0;
-    std::size_t height = 0;
-  };
-
-  /// Parses an image-size spec `WxH`: exactly two positive decimal
-  /// integers joined by one 'x'. Anything else ("320x", "x240", "0x240",
-  /// "320x240x3", "320,240", a side overflowing size_t) throws
-  /// std::invalid_argument naming the spec and what is wrong with it.
-  static Size2 parse_wxh(const std::string& spec);
 
  private:
   std::string program_;

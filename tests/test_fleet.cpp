@@ -26,6 +26,7 @@
 #include "src/serve/fleet.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/admission_gate.hpp"
+#include "src/util/parallel.hpp"
 
 namespace {
 
@@ -294,7 +295,9 @@ TEST(SegHdcFleet, EveryTenantMatchesItsSoloServerUnderContention) {
   // three threads, squeezed through a 2-slot fleet-wide in-flight cap
   // (and SEGHDC_TEST_QUEUE_CAP-sized pending queues when CI forces
   // them): every tenant's hash must equal its solo-server hash, and the
-  // golden tenant must still hit the golden constant.
+  // golden tenant must still hit the golden constant. The second pass
+  // runs the fleet on a one-thread pool with 2+2 stage threads per
+  // tenant and one-slot pending queues.
   struct Spec {
     std::string name;
     core::SegHdcConfig config;
@@ -305,53 +308,64 @@ TEST(SegHdcFleet, EveryTenantMatchesItsSoloServerUnderContention) {
       {"long", variant_config(1234, 384, 6)},
   };
   const auto images = golden_batch();
+  util::ThreadPool one(1);
 
-  serve::FleetOptions fleet_options;
-  fleet_options.max_in_flight_total = 2;
-  serve::SegHdcFleet fleet(fleet_options);
-  for (const auto& spec : specs) {
-    fleet.add_tenant(spec.name, spec.config, contended_tenant_options());
-  }
+  for (const bool narrow : {false, true}) {
+    SCOPED_TRACE(narrow ? "one-thread pool" : "shared pool");
+    serve::FleetOptions fleet_options;
+    fleet_options.max_in_flight_total = 2;
+    auto tenant_options = contended_tenant_options();
+    if (narrow) {
+      fleet_options.pool = &one;
+      tenant_options.max_queued = 1;
+      tenant_options.encode_workers = 2;
+      tenant_options.cluster_workers = 2;
+    }
+    serve::SegHdcFleet fleet(fleet_options);
+    for (const auto& spec : specs) {
+      fleet.add_tenant(spec.name, spec.config, tenant_options);
+    }
 
-  constexpr int kRounds = 3;  // 3 tenants x 3 rounds x 3 images
-  std::vector<std::vector<std::future<core::SegmentationResult>>> futures(
-      specs.size());
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < specs.size(); ++t) {
-    submitters.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (const auto& image : images) {
-          futures[t].push_back(fleet.submit(specs[t].name, image));
+    constexpr int kRounds = 3;  // 3 tenants x 3 rounds x 3 images
+    std::vector<std::vector<std::future<core::SegmentationResult>>> futures(
+        specs.size());
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      submitters.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (const auto& image : images) {
+            futures[t].push_back(fleet.submit(specs[t].name, image));
+          }
         }
+      });
+    }
+    for (auto& thread : submitters) {
+      thread.join();
+    }
+
+    for (std::size_t t = 0; t < specs.size(); ++t) {
+      std::vector<core::SegmentationResult> results;
+      for (auto& future : futures[t]) {
+        results.push_back(future.get());
       }
-    });
-  }
-  for (auto& thread : submitters) {
-    thread.join();
-  }
-
-  for (std::size_t t = 0; t < specs.size(); ++t) {
-    std::vector<core::SegmentationResult> results;
-    for (auto& future : futures[t]) {
-      results.push_back(future.get());
+      // Per-round hash: each round of 3 images is the golden batch shape.
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<core::SegmentationResult> batch(
+            results.begin() + round * 3, results.begin() + round * 3 + 3);
+        const std::uint64_t expected =
+            specs[t].name == "golden" ? kGoldenBatchHash
+                                      : solo_hash(specs[t].config, images);
+        EXPECT_EQ(results_hash(batch), expected)
+            << "tenant " << specs[t].name << " round " << round;
+      }
     }
-    // Per-round hash: each round of 3 images is the golden batch shape.
-    for (int round = 0; round < kRounds; ++round) {
-      std::vector<core::SegmentationResult> batch(
-          results.begin() + round * 3, results.begin() + round * 3 + 3);
-      const std::uint64_t expected =
-          specs[t].name == "golden" ? kGoldenBatchHash
-                                    : solo_hash(specs[t].config, images);
-      EXPECT_EQ(results_hash(batch), expected)
-          << "tenant " << specs[t].name << " round " << round;
-    }
-  }
 
-  const auto stats = fleet.stats();
-  EXPECT_EQ(stats.accepted, specs.size() * kRounds * images.size());
-  EXPECT_EQ(stats.completed, stats.accepted);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.latency.count, stats.completed);
+    const auto stats = fleet.stats();
+    EXPECT_EQ(stats.accepted, specs.size() * kRounds * images.size());
+    EXPECT_EQ(stats.completed, stats.accepted);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.latency.count, stats.completed);
+  }
 }
 
 TEST(SegHdcFleet, RetiringOneTenantLeavesTheOthersBitIdentical) {

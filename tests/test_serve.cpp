@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/session.hpp"
@@ -360,31 +361,43 @@ TEST(SegHdcServer, ResultsMatchSynchronousPathPerIndex) {
 
   auto config = golden_config();
   config.compute_margins = true;  // margins must survive the pipeline too
+  // A ragged dim with coarse colour quantisation, served by 2+2 stage
+  // threads over a one-thread pool, where they act as extra cores.
+  auto ragged = config;
+  ragged.dim = 1000;
+  ragged.beta = 8;
+  ragged.iterations = 6;
+  ragged.color_quantization_shift = 2;
 
-  std::vector<core::SegmentationResult> expected;
-  {
-    const core::SegHdcSession session(config);
-    for (const auto& image : images) {
-      expected.push_back(session.segment(image));
+  for (const auto& [cfg, threads] :
+       {std::pair{config, 4u}, std::pair{ragged, 1u}}) {
+    SCOPED_TRACE("dim " + std::to_string(cfg.dim) + " pool " +
+                 std::to_string(threads));
+    std::vector<core::SegmentationResult> expected;
+    {
+      const core::SegHdcSession session(cfg);
+      for (const auto& image : images) {
+        expected.push_back(session.segment(image));
+      }
     }
-  }
 
-  util::ThreadPool pool(4);
-  serve::ServerOptions options;
-  options.queue_capacity = test_queue_capacity();
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
-  options.pool = &pool;
-  serve::SegHdcServer server(config, options);
-  const auto results = serve_batch(server, images);
-  ASSERT_EQ(results.size(), images.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    SCOPED_TRACE("image " + std::to_string(i));
-    expect_results_identical(expected[i], results[i]);
+    util::ThreadPool pool(threads);
+    serve::ServerOptions options;
+    options.queue_capacity = test_queue_capacity();
+    options.encode_workers = 2;
+    options.cluster_workers = 2;
+    options.pool = &pool;
+    serve::SegHdcServer server(cfg, options);
+    const auto results = serve_batch(server, images);
+    ASSERT_EQ(results.size(), images.size());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      SCOPED_TRACE("image " + std::to_string(i));
+      expect_results_identical(expected[i], results[i]);
+    }
+    // Three distinct geometries in the batch -> exactly three encoder
+    // states, just like a session.
+    EXPECT_EQ(server.session().encoder_states_built(), 3u);
   }
-  // Three distinct geometries in the batch -> exactly three encoder
-  // states, just like a session.
-  EXPECT_EQ(server.session().encoder_states_built(), 3u);
 }
 
 TEST(SegHdcServer, SinkOverloadDeliversEveryResultExactlyOnce) {

@@ -200,28 +200,38 @@ TEST(SegHdcSession, SegmentManyMatchesSequentialLoopAtEveryPoolSize) {
 
   auto config = base_config();
   config.compute_margins = true;  // margins must survive batching too
+  // A ragged dim with coarse colour quantisation: d = 1000 is not a
+  // multiple of 64, and shift 2 makes dedup keys repeat far more often.
+  auto ragged = config;
+  ragged.dim = 1000;
+  ragged.beta = 8;
+  ragged.iterations = 6;
+  ragged.color_quantization_shift = 2;
 
-  std::vector<core::SegmentationResult> expected;
-  {
-    const core::SegHdcSession session(config);
-    for (const auto& image : images) {
-      expected.push_back(session.segment(image));
+  for (const auto& cfg : {config, ragged}) {
+    SCOPED_TRACE("dim " + std::to_string(cfg.dim));
+    std::vector<core::SegmentationResult> expected;
+    {
+      const core::SegHdcSession session(cfg);
+      for (const auto& image : images) {
+        expected.push_back(session.segment(image));
+      }
     }
-  }
 
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE("pool threads " + std::to_string(threads));
-    util::ThreadPool pool(threads);
-    const core::SegHdcSession session(config,
-                                      core::SegHdcSession::Options{&pool});
-    const auto results = session.segment_many(images);
-    ASSERT_EQ(results.size(), images.size());
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      SCOPED_TRACE("image " + std::to_string(i));
-      expect_results_identical(expected[i], results[i]);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("pool threads " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      const core::SegHdcSession session(cfg,
+                                        core::SegHdcSession::Options{&pool});
+      const auto results = session.segment_many(images);
+      ASSERT_EQ(results.size(), images.size());
+      for (std::size_t i = 0; i < images.size(); ++i) {
+        SCOPED_TRACE("image " + std::to_string(i));
+        expect_results_identical(expected[i], results[i]);
+      }
+      // Three distinct geometries in the batch -> exactly three states.
+      EXPECT_EQ(session.encoder_states_built(), 3u);
     }
-    // Three distinct geometries in the batch -> exactly three states.
-    EXPECT_EQ(session.encoder_states_built(), 3u);
   }
 }
 

@@ -299,8 +299,6 @@ TEST(SimdBackends, CountPlanesDotMatchesBitSerialOnEveryBackend) {
       EXPECT_EQ(kernels::dot_planes(planes, probe.words(), *backend),
                 expected)
           << backend->name << " dim=" << dim;
-      EXPECT_EQ(backend->dot_counts(acc.counts(), probe.words()), expected)
-          << backend->name << " dim=" << dim;
     }
     // And the distance wrapper agrees with the bit-serial formulation
     // exactly (same integer dot, same float expression).

@@ -22,6 +22,7 @@
 #include <future>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/seghdc.hpp"
@@ -399,44 +400,79 @@ TEST(Stream, DedupOffAndFaultStreamsReuseBands) {
 // --- Server stream path: open_stream/submit must deliver exactly the
 // session stream results, in submission order, at any worker count. ---
 
-TEST(Stream, ServerStreamMatchesSessionStream) {
-  const auto config = stream_config();
-  const auto frames = golden_frames();
-
-  // Session-level reference, run serially.
-  const core::SegHdcSession reference(config);
-  core::SegHdcSession::Stream reference_stream;
-  std::vector<core::StreamFrameResult> expected;
-  for (const auto& frame : frames) {
-    expected.push_back(reference.segment_stream(frame, reference_stream));
+/// A colour pan: three static frames (replays), a 6-pixel pan of the
+/// square one pixel per frame, three static frames. Each gray level v
+/// becomes (v, v ^ 31, v ^ 62), so the three channels' keys differ.
+std::vector<img::ImageU8> rgb_pan_frames() {
+  std::vector<img::ImageU8> frames;
+  for (const std::size_t x0 : {8u, 8u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 14u,
+                               14u, 14u}) {
+    const auto gray = scene_with_square(64, 48, x0, 18);
+    img::ImageU8 rgb(64, 48, 3);
+    for (std::size_t y = 0; y < 48; ++y) {
+      for (std::size_t x = 0; x < 64; ++x) {
+        for (std::size_t c = 0; c < 3; ++c) {
+          rgb(x, y, c) = static_cast<std::uint8_t>(gray(x, y) ^ (31 * c));
+        }
+      }
+    }
+    frames.push_back(std::move(rgb));
   }
+  return frames;
+}
 
-  for (const std::size_t encode_workers : {1u, 3u}) {
-    SCOPED_TRACE("encode_workers=" + std::to_string(encode_workers));
-    serve::ServerOptions options;
-    options.encode_workers = encode_workers;
-    serve::SegHdcServer server(config, options);
-    auto stream = server.open_stream();
-    std::vector<std::future<core::StreamFrameResult>> futures;
+TEST(Stream, ServerStreamMatchesSessionStream) {
+  // The golden gray sequence on the default pool, and a colour pan with
+  // blocks of 8 rows and shift-2 quantisation on a one-thread pool.
+  auto pan_config = stream_config();
+  pan_config.beta = 8;
+  pan_config.color_quantization_shift = 2;
+  util::ThreadPool one(1);
+  struct Input {
+    core::SegHdcConfig config;
+    std::vector<img::ImageU8> frames;
+    util::ThreadPool* pool;
+  };
+  for (const auto& [config, frames, pool] :
+       {Input{stream_config(), golden_frames(), nullptr},
+        Input{pan_config, rgb_pan_frames(), &one}}) {
+    SCOPED_TRACE("beta=" + std::to_string(config.beta));
+    // Session-level reference, run serially.
+    const core::SegHdcSession reference(config);
+    core::SegHdcSession::Stream reference_stream;
+    std::vector<core::StreamFrameResult> expected;
     for (const auto& frame : frames) {
-      futures.push_back(server.submit(stream, frame));
+      expected.push_back(reference.segment_stream(frame, reference_stream));
     }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const auto actual = futures[i].get();
-      expect_results_identical(expected[i].result, actual.result);
-      EXPECT_EQ(actual.stats.frame_index, expected[i].stats.frame_index);
-      EXPECT_EQ(actual.stats.warm, expected[i].stats.warm);
-      EXPECT_EQ(actual.stats.replayed, expected[i].stats.replayed);
-      EXPECT_EQ(actual.stats.tiles_reused, expected[i].stats.tiles_reused);
-      EXPECT_EQ(actual.stats.kmeans_iterations,
-                expected[i].stats.kmeans_iterations);
+
+    for (const std::size_t encode_workers : {1u, 3u}) {
+      SCOPED_TRACE("encode_workers=" + std::to_string(encode_workers));
+      serve::ServerOptions options;
+      options.encode_workers = encode_workers;
+      options.pool = pool;
+      serve::SegHdcServer server(config, options);
+      auto stream = server.open_stream();
+      std::vector<std::future<core::StreamFrameResult>> futures;
+      for (const auto& frame : frames) {
+        futures.push_back(server.submit(stream, frame));
+      }
+      for (std::size_t i = 0; i < futures.size(); ++i) {
+        const auto actual = futures[i].get();
+        expect_results_identical(expected[i].result, actual.result);
+        EXPECT_EQ(actual.stats.frame_index, expected[i].stats.frame_index);
+        EXPECT_EQ(actual.stats.warm, expected[i].stats.warm);
+        EXPECT_EQ(actual.stats.replayed, expected[i].stats.replayed);
+        EXPECT_EQ(actual.stats.tiles_reused, expected[i].stats.tiles_reused);
+        EXPECT_EQ(actual.stats.kmeans_iterations,
+                  expected[i].stats.kmeans_iterations);
+      }
+      const auto stats = server.stats();
+      EXPECT_EQ(stats.stream.frames, frames.size());
+      EXPECT_EQ(stats.completed, frames.size());
+      EXPECT_GE(stats.stream.warm_frames, 1u);
+      EXPECT_GE(stats.stream.replayed_frames, 1u);
+      EXPECT_GT(stats.stream.tiles_reused, 0u);
     }
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.stream.frames, frames.size());
-    EXPECT_EQ(stats.completed, frames.size());
-    EXPECT_GE(stats.stream.warm_frames, 1u);
-    EXPECT_GE(stats.stream.replayed_frames, 1u);
-    EXPECT_GT(stats.stream.tiles_reused, 0u);
   }
 }
 

@@ -147,24 +147,33 @@ TEST(TiledEncode, UniqueIdsMatchUntiledOnEdgeGeometries) {
 
 TEST(TiledEncode, FullPipelineLabelsMatchUntiled) {
   const auto image = textured_image(46, 37, 3);  // 37 prime: always ragged
-  auto untiled_config = small_config();
-  untiled_config.compute_margins = true;
-  untiled_config.tile_rows = image.height();
-  const auto expected = core::SegHdcSession(untiled_config).segment(image);
-  for (const std::size_t tile_rows : {1u, 4u, 9u, 0u}) {  // 0 = default
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("tile_rows=" + std::to_string(tile_rows) + " threads=" +
-                   std::to_string(threads));
-      util::ThreadPool pool(threads);
-      auto config = untiled_config;
-      config.tile_rows = tile_rows;
-      const core::SegHdcSession session(config,
-                                        core::SegHdcSession::Options{&pool});
-      const auto actual = session.segment(image);
-      EXPECT_EQ(actual.labels, expected.labels);
-      EXPECT_EQ(actual.margins, expected.margins);
-      EXPECT_EQ(actual.unique_points, expected.unique_points);
-      EXPECT_EQ(actual.cluster_pixel_counts, expected.cluster_pixel_counts);
+  auto base = small_config();
+  base.compute_margins = true;
+  base.tile_rows = image.height();
+  // A ragged dim (800 = 12.5 words) with coarse colour quantisation and
+  // blocks of 8 rows, so every band height rounds up to 8 or 16.
+  auto ragged = base;
+  ragged.dim = 800;
+  ragged.beta = 8;
+  ragged.color_quantization_shift = 2;
+  for (const auto& untiled_config : {base, ragged}) {
+    const auto expected = core::SegHdcSession(untiled_config).segment(image);
+    for (const std::size_t tile_rows : {1u, 4u, 9u, 0u}) {  // 0 = default
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("dim=" + std::to_string(untiled_config.dim) +
+                     " tile_rows=" + std::to_string(tile_rows) +
+                     " threads=" + std::to_string(threads));
+        util::ThreadPool pool(threads);
+        auto config = untiled_config;
+        config.tile_rows = tile_rows;
+        const core::SegHdcSession session(
+            config, core::SegHdcSession::Options{&pool});
+        const auto actual = session.segment(image);
+        EXPECT_EQ(actual.labels, expected.labels);
+        EXPECT_EQ(actual.margins, expected.margins);
+        EXPECT_EQ(actual.unique_points, expected.unique_points);
+        EXPECT_EQ(actual.cluster_pixel_counts, expected.cluster_pixel_counts);
+      }
     }
   }
 }

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/util/cli.hpp"
@@ -134,94 +133,10 @@ TEST(Cli, ExplicitEmptyEqualsValueAlsoThrowsThroughValueGetters) {
 TEST(Cli, DoubleDashEndsOptionParsing) {
   const auto cli = make_cli({"--dim", "8", "--", "--weird-file.pgm", "--x"});
   EXPECT_EQ(cli.get_int("dim", 0), 8);
-  EXPECT_FALSE(cli.has("x"));
+  EXPECT_EQ(cli.get("x", "absent"), "absent");
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "--weird-file.pgm");
   EXPECT_EQ(cli.positional()[1], "--x");
-}
-
-TEST(Cli, ParseSizeListHappyPath) {
-  EXPECT_EQ(Cli::parse_size_list("1,2, 8\t16"),
-            (std::vector<std::size_t>{1, 2, 8, 16}));
-  EXPECT_TRUE(Cli::parse_size_list("").empty());
-  EXPECT_TRUE(Cli::parse_size_list(" ,, ").empty());
-}
-
-TEST(Cli, ParseSizeListMalformedTokenIsAHardError) {
-  // Silently dropping "x" from "4,x,8" would run a different sweep than
-  // the one asked for — must hard-error, message naming the token.
-  try {
-    Cli::parse_size_list("4,x,8");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(),
-                 "size list '4,x,8' contains malformed token 'x' "
-                 "(digits only)");
-  }
-  EXPECT_THROW(Cli::parse_size_list("1,2x,3"), std::invalid_argument);
-  EXPECT_THROW(Cli::parse_size_list("-1"), std::invalid_argument);
-  EXPECT_THROW(Cli::parse_size_list("1.5"), std::invalid_argument);
-}
-
-TEST(Cli, ParseSizeListOverflowIsAHardError) {
-  // 2^64 = 18446744073709551616 overflows 64-bit size_t; the previous
-  // parser wrapped it around without complaint.
-  try {
-    Cli::parse_size_list("18446744073709551616");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(),
-                 "size list '18446744073709551616' token "
-                 "'18446744073709551616' overflows size_t");
-  }
-  // The exact maximum still parses.
-  EXPECT_EQ(Cli::parse_size_list("18446744073709551615"),
-            (std::vector<std::size_t>{18446744073709551615ULL}));
-}
-
-TEST(Cli, ParseSizeListZeroPolicy) {
-  EXPECT_EQ(Cli::parse_size_list("0,2", /*allow_zero=*/true),
-            (std::vector<std::size_t>{0, 2}));
-  EXPECT_THROW(Cli::parse_size_list("0,2", /*allow_zero=*/false),
-               std::invalid_argument);
-}
-
-TEST(Cli, ParseWxhHappyPath) {
-  const auto size = Cli::parse_wxh("320x240");
-  EXPECT_EQ(size.width, 320u);
-  EXPECT_EQ(size.height, 240u);
-  const auto tall = Cli::parse_wxh("1x18446744073709551615");
-  EXPECT_EQ(tall.width, 1u);
-  EXPECT_EQ(tall.height, 18446744073709551615ULL);
-}
-
-TEST(Cli, ParseWxhErrorsArePinned) {
-  // `bench_throughput --single-image` reads its size through this
-  // parser; each malformed spec must fail with a message naming it.
-  const std::vector<std::pair<std::string, std::string>> cases{
-      {"320x", "size '320x' has no height (expected WxH, e.g. 320x240)"},
-      {"x240", "size 'x240' has no width (expected WxH, e.g. 320x240)"},
-      {"0x240", "size '0x240' width must be positive"},
-      {"320x0", "size '320x0' height must be positive"},
-      {"320x240x3",
-       "size '320x240x3' must be WxH with exactly one 'x' (e.g. 320x240)"},
-      {"320,240",
-       "size '320,240' must be WxH with exactly one 'x' (e.g. 320x240)"},
-      {"32a0x240", "size '32a0x240' width '32a0' is not a decimal integer"},
-      {"320x-240", "size '320x-240' height '-240' is not a decimal integer"},
-      {"18446744073709551616x240",
-       "size '18446744073709551616x240' width '18446744073709551616' "
-       "overflows size_t"},
-  };
-  for (const auto& [spec, message] : cases) {
-    SCOPED_TRACE(spec);
-    try {
-      Cli::parse_wxh(spec);
-      ADD_FAILURE() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_EQ(std::string(e.what()), message);
-    }
-  }
 }
 
 TEST(Csv, WritesHeaderAndRows) {
