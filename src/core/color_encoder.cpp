@@ -74,6 +74,7 @@ ColorEncoder::ColorEncoder(const ColorEncoderConfig& config, util::Rng& rng)
         }
       }
     }
+    channel_begins_.push_back(slice_begin);
     slice_begin += channel_dims_[c];
   }
 }
@@ -98,6 +99,16 @@ const hdc::HyperVector& ColorEncoder::channel_hv(std::size_t channel,
     return randoms_[channel]->at(value);
   }
   return ladders_[channel]->at(value);
+}
+
+std::pair<std::size_t, std::size_t> ColorEncoder::level_run(
+    std::size_t channel, std::uint8_t value) const {
+  util::expects(config_.encoding == ColorEncoding::kLevelLadder,
+                "ColorEncoder::level_run needs the level ladder");
+  util::expects(channel < config_.channels,
+                "ColorEncoder::level_run channel in range");
+  const std::size_t begin = channel_begins_[channel];
+  return {begin, begin + ladders_[channel]->offset(value)};
 }
 
 std::span<const std::uint64_t> ColorEncoder::placed(

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.hpp"
@@ -76,6 +77,12 @@ class ColorEncoder {
   std::span<const std::uint64_t> placed(std::size_t channel,
                                         std::uint8_t value) const;
 
+  /// The flip run [begin, end) of the full dim-bit color HV that turns
+  /// channel c's level 0 into level `value`: the prefix
+  /// [0, offset(value)) of the channel's slice. kLevelLadder only.
+  std::pair<std::size_t, std::size_t> level_run(std::size_t channel,
+                                                std::uint8_t value) const;
+
   /// Concatenated color HV for a pixel's channel values
   /// (values.size() must equal channels): the XOR of their placed rows.
   hdc::HyperVector encode(std::span<const std::uint8_t> values) const;
@@ -83,6 +90,7 @@ class ColorEncoder {
  private:
   ColorEncoderConfig config_;
   std::vector<std::size_t> channel_dims_;
+  std::vector<std::size_t> channel_begins_;  ///< first bit of each slice
   std::vector<std::size_t> channel_spans_;
   // One codebook per channel; exactly one of the two vectors is populated
   // depending on the encoding variant.

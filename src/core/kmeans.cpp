@@ -97,7 +97,7 @@ AssignTally for_each_point(util::ThreadPool& pool, std::size_t n,
 // Exact ties and near-ties never pass the test, so they are always
 // evaluated. The same test drops single candidates from a partial scan.
 // The test reads one bound per centroid, so the filter pays at every K:
-// it replaces a d-bit dot per skipped pair with a few double compares.
+// it replaces a distance per skipped pair with a few double compares.
 // ---
 constexpr double kChordSlack = 1e-7;
 constexpr double kChordMargin = 1e-6;
@@ -147,116 +147,327 @@ double chord_drift(std::span<const std::int64_t> before,
   return std::sqrt(2.0 * one_minus_cos) + kDriftSlack;
 }
 
-}  // namespace
+std::uint32_t weight_at(std::span<const std::uint32_t> weights,
+                        std::size_t i) {
+  return weights.empty() ? 1u : weights[i];
+}
 
-HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
-  util::expects(config_.clusters >= 2 && config_.clusters <= 4096,
-                "HvKMeans supports 2..4096 clusters");
-  util::expects(config_.iterations >= 1,
-                "HvKMeans needs at least one iteration");
-  // Assignment-mode resolution order mirrors the other knobs (config >
-  // environment > auto), with malformed overrides a hard error — a
-  // forced CI assignment mode that silently fell back would make the
-  // filter-vs-exhaustive matrix meaningless.
-  resolved_assign_mode_ = config_.assign_mode;
-  if (resolved_assign_mode_ == AssignMode::kAuto) {
-    const char* env = std::getenv("SEGHDC_ASSIGN_MODE");
-    if (env != nullptr && *env != '\0') {
-      const std::string_view value(env);
-      if (value == "exhaustive") {
-        resolved_assign_mode_ = AssignMode::kExhaustive;
-      } else if (value != "auto") {
-        throw std::invalid_argument(
-            std::string("SEGHDC_ASSIGN_MODE must be one of "
-                        "auto|exhaustive, got '") +
-            env + "'");
+// --- Point models. The iteration skeleton (`cluster` below) reads the
+// points only through one of these two classes, which share one shape:
+//   count(), dim(), popcount(i);
+//   add_to(accumulator, i, weight): one point into a dense centroid (the
+//     seeds and the reseed patches);
+//   Snapshot, snapshot_cosine / snapshot_majority(centroid, snapshot):
+//     one centroid's per-iteration table, then dot(snapshot, i) and
+//     hamming(snapshot, i), exact integers, and reads(snapshot): the
+//     entries one such distance reads (OpCounts::words_scanned);
+//   Bank, make_bank(k), move(bank, c, in, out, weights) and
+//     merge(banks, centroids): one chunk's persistent partial centroids,
+//     moved by the update step and merged in chunk order.
+// The centroids themselves are dense hdc::Accumulators in both models,
+// so seeding, the chord drift, the reseed and the result are shared. ---
+
+/// Packed rows (an HvBlock): the model of the kRandom codebooks, of bit
+/// errors, and the reference the coded model is tested against. A dot
+/// streams plane_count() fused AND+popcount passes over the row
+/// (kernels::CountPlanes), a Hamming distance one XOR+popcount pass, and
+/// a bank applies the moved rows bit-sliced (hdc::StagedSum).
+class DenseModel {
+ public:
+  explicit DenseModel(const hdc::HvBlock& points)
+      : points_(points), backend_(hdc::simd::active_backend()) {
+    // The distance kernels index centroid counts by set-bit position, so
+    // a stray bit above dim would read out of bounds; enforce the
+    // padding invariant once up front (one word test per row).
+    if (points.dim() % 64 != 0) {
+      for (std::size_t i = 0; i < points.count(); ++i) {
+        util::expects(
+            hdc::kernels::padding_is_zero(points.row(i), points.dim()),
+            "HvKMeans::run block rows must have zero padding bits");
       }
     }
   }
-}
 
-HvKMeansResult HvKMeans::run(std::span<const hdc::HyperVector> points,
-                             std::span<const std::uint32_t> weights,
-                             std::span<const std::size_t> seed_points) const {
-  // from_hvs validates uniform dimensions; the block overload validates
-  // the rest (an empty span packs to an empty block, which it rejects).
-  return run(hdc::HvBlock::from_hvs(points), weights, seed_points);
-}
-
-HvKMeansResult HvKMeans::run(const hdc::HvBlock& points,
-                             std::span<const std::uint32_t> weights,
-                             std::span<const std::size_t> seed_points) const {
-  util::expects(seed_points.size() == config_.clusters,
-                "HvKMeans::run needs exactly `clusters` seed points");
-  return run_impl(points, weights,
-                  [&](std::vector<hdc::Accumulator>& centroids) {
-                    // Initial centroids: the seed points themselves
-                    // (weight 1 — a seed defines a direction, not a
-                    // mass).
-                    for (std::size_t c = 0; c < centroids.size(); ++c) {
-                      util::expects(seed_points[c] < points.count(),
-                                    "HvKMeans seed index in range");
-                      centroids[c].add(points.row(seed_points[c]), 1);
-                    }
-                  });
-}
-
-HvKMeansResult HvKMeans::run_from_centroids(
-    const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
-    std::span<const hdc::HyperVector> seed_centroids) const {
-  util::expects(seed_centroids.size() == config_.clusters,
-                "HvKMeans::run_from_centroids needs exactly `clusters` "
-                "seed centroids");
-  for (const auto& seed : seed_centroids) {
-    util::expects(seed.dim() == points.dim(),
-                  "HvKMeans::run_from_centroids seed centroid dimension "
-                  "must match the points");
+  std::size_t count() const { return points_.count(); }
+  std::size_t dim() const { return points_.dim(); }
+  std::uint64_t popcount(std::size_t i) const { return points_.popcount(i); }
+  void add_to(hdc::Accumulator& centroid, std::size_t i,
+              std::uint32_t weight) const {
+    centroid.add(points_.row(i), weight);
   }
-  return run_impl(points, weights,
-                  [&](std::vector<hdc::Accumulator>& centroids) {
-                    for (std::size_t c = 0; c < centroids.size(); ++c) {
-                      centroids[c].add(seed_centroids[c], 1);
-                    }
-                  });
-}
 
-HvKMeansResult HvKMeans::run_impl(
-    const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
-    const std::function<void(std::vector<hdc::Accumulator>&)>&
-        init_centroids) const {
-  util::expects(!points.empty(), "HvKMeans::run needs at least one point");
-  util::expects(points.count() >= config_.clusters,
+  struct Snapshot {
+    hdc::kernels::CountPlanes planes;  ///< cosine
+    hdc::HyperVector majority;         ///< Hamming
+    std::size_t passes = 0;            ///< row passes per distance
+  };
+  void snapshot_cosine(const hdc::Accumulator& centroid,
+                       Snapshot& snapshot) const {
+    centroid.snapshot_planes(snapshot.planes);
+    snapshot.passes = snapshot.planes.plane_count();
+  }
+  void snapshot_majority(const hdc::Accumulator& centroid,
+                         Snapshot& snapshot) const {
+    snapshot.majority = centroid.to_majority();
+    snapshot.passes = 1;
+  }
+  std::int64_t dot(const Snapshot& snapshot, std::size_t i) const {
+    return hdc::kernels::dot_planes(snapshot.planes, points_.row(i),
+                                    backend_);
+  }
+  std::size_t hamming(const Snapshot& snapshot, std::size_t i) const {
+    return backend_.hamming(snapshot.majority.words(), points_.row(i));
+  }
+  /// Words one distance streams: a pass per cosine plane, or one
+  /// Hamming pass.
+  std::uint64_t reads(const Snapshot& snapshot) const {
+    return snapshot.passes * points_.words_per_hv();
+  }
+
+  /// k partial centroids and the StagedSum one update stages into,
+  /// reused cluster after cluster so its planes do not grow with k.
+  struct Bank {
+    std::vector<hdc::Accumulator> centroids;
+    hdc::StagedSum staged;
+  };
+  Bank make_bank(std::size_t k) const {
+    return Bank{std::vector<hdc::Accumulator>(k, hdc::Accumulator(dim())),
+                hdc::StagedSum(dim())};
+  }
+  /// Stages cluster c's moved-in rows and then its moved-out rows
+  /// bit-sliced and applies the exact integer delta to the bank once.
+  void move(Bank& bank, std::size_t c, std::span<const std::uint32_t> in,
+            std::span<const std::uint32_t> out,
+            std::span<const std::uint32_t> weights) const {
+    for (const std::uint32_t i : in) {
+      bank.staged.add(points_.row(i), weight_at(weights, i));
+    }
+    for (const std::uint32_t i : out) {
+      bank.staged.sub(points_.row(i), weight_at(weights, i));
+    }
+    bank.centroids[c].apply(bank.staged);
+  }
+  void merge(std::span<const Bank> banks,
+             std::vector<hdc::Accumulator>& centroids) const {
+    for (std::size_t c = 0; c < centroids.size(); ++c) {
+      centroids[c] = banks[0].centroids[c];
+      for (std::size_t chunk = 1; chunk < banks.size(); ++chunk) {
+        centroids[c].merge(banks[chunk].centroids[c]);
+      }
+    }
+  }
+
+ private:
+  const hdc::HvBlock& points_;
+  const hdc::simd::KernelBackend& backend_;
+};
+
+/// Interval-coded points (hdc::CodedPoints): point i is B XOR the runs
+/// [e_2k, e_2k+1) of its sorted endpoints. Everything linear in a
+/// point's bits is a sum over its runs of differences of a prefix table
+/// over the dimension, so each distance, popcount and bank move costs
+/// O(endpoints), and each snapshot one O(d) pass per cluster:
+///   popcount(x) = popcount(B) + sum (R[e_2k+1] - R[e_2k]),
+///     R[t] = sum_{j<t} (1 - 2 B_j);
+///   dot(c, x) = dot_B + sum (Q[e_2k+1] - Q[e_2k]),
+///     Q[t] = sum_{j<t} c_j (1 - 2 B_j), dot_B = sum_j B_j c_j;
+///   hamming(M, x) = popcount(X) + sum (S[e_2k+1] - S[e_2k]), X = M ^ B,
+///     S[t] = sum_{j<t} (1 - 2 X_j).
+/// A bank keeps, per cluster, a difference array over F_j, the weight
+/// of its members whose runs cover bit j, so a moved point changes only
+/// the entries at its endpoints; the merge prefix-sums it into the
+/// counts c_j = B_j ? W - F_j : F_j. Every value is an exact integer, so
+/// the dots, norms and centroids equal the dense model's bit for bit.
+class CodedModel {
+ public:
+  explicit CodedModel(const hdc::CodedPoints& points)
+      : points_(points),
+        base_bits_(points.dim()),
+        base_prefix_(points.dim() + 1, 0) {
+    // An endpoint past dim would index past the prefix tables.
+    util::expects(points.well_formed(),
+                  "HvKMeans::run coded points need sorted endpoints "
+                  "within the dimension");
+    const auto base = points.base().words();
+    for (std::size_t j = 0; j < dim(); ++j) {
+      base_bits_[j] = static_cast<std::uint8_t>((base[j / 64] >> (j % 64)) & 1);
+      base_prefix_[j + 1] = base_prefix_[j] + 1 - 2 * base_bits_[j];
+    }
+    base_popcount_ = points.base().popcount();
+  }
+
+  std::size_t count() const { return points_.count(); }
+  std::size_t dim() const { return points_.dim(); }
+  std::uint64_t popcount(std::size_t i) const {
+    return static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(base_popcount_) +
+        run_sum(base_prefix_.data(), i));
+  }
+  void add_to(hdc::Accumulator& centroid, std::size_t i,
+              std::uint32_t weight) const {
+    centroid.add(points_.to_hypervector(i), weight);
+  }
+
+  struct Snapshot {
+    std::vector<std::int64_t> prefix;  ///< Q (cosine) or S (Hamming)
+    std::int64_t at_base = 0;          ///< dot_B or popcount(X)
+  };
+  void snapshot_cosine(const hdc::Accumulator& centroid,
+                       Snapshot& snapshot) const {
+    const auto counts = centroid.counts();
+    snapshot.prefix.resize(dim() + 1);
+    std::int64_t running = 0;
+    std::int64_t at_base = 0;
+    snapshot.prefix[0] = 0;
+    for (std::size_t j = 0; j < dim(); ++j) {
+      const std::int64_t c = counts[j];
+      at_base += base_bits_[j] != 0 ? c : 0;
+      running += base_bits_[j] != 0 ? -c : c;
+      snapshot.prefix[j + 1] = running;
+    }
+    snapshot.at_base = at_base;
+  }
+  void snapshot_majority(const hdc::Accumulator& centroid,
+                         Snapshot& snapshot) const {
+    const auto majority = centroid.to_majority();
+    const auto bits = majority.words();
+    snapshot.prefix.resize(dim() + 1);
+    std::int64_t running = 0;
+    std::int64_t at_base = 0;
+    snapshot.prefix[0] = 0;
+    for (std::size_t j = 0; j < dim(); ++j) {
+      const int x =
+          static_cast<int>((bits[j / 64] >> (j % 64)) & 1) ^ base_bits_[j];
+      at_base += x;
+      running += 1 - 2 * x;
+      snapshot.prefix[j + 1] = running;
+    }
+    snapshot.at_base = at_base;
+  }
+  std::int64_t dot(const Snapshot& snapshot, std::size_t i) const {
+    return snapshot.at_base + run_sum(snapshot.prefix.data(), i);
+  }
+  std::size_t hamming(const Snapshot& snapshot, std::size_t i) const {
+    return static_cast<std::size_t>(dot(snapshot, i));
+  }
+  /// Prefix entries one distance reads: one per endpoint.
+  std::uint64_t reads(const Snapshot& /*snapshot*/) const {
+    return points_.stride();
+  }
+
+  /// Per cluster, the difference array of F (dim + 1 entries, an
+  /// endpoint may be dim) and the total weight.
+  struct Bank {
+    std::vector<std::vector<std::int64_t>> diff;
+    std::vector<std::uint64_t> weight;
+  };
+  Bank make_bank(std::size_t k) const {
+    return Bank{std::vector<std::vector<std::int64_t>>(
+                    k, std::vector<std::int64_t>(dim() + 1, 0)),
+                std::vector<std::uint64_t>(k, 0)};
+  }
+  void move(Bank& bank, std::size_t c, std::span<const std::uint32_t> in,
+            std::span<const std::uint32_t> out,
+            std::span<const std::uint32_t> weights) const {
+    auto& diff = bank.diff[c];
+    const auto stage = [&](std::uint32_t i, std::int64_t w) {
+      const auto ends = points_.endpoints(i);
+      for (std::size_t k = 0; k < ends.size(); k += 2) {
+        diff[ends[k]] += w;
+        diff[ends[k + 1]] -= w;
+      }
+    };
+    for (const std::uint32_t i : in) {
+      const std::uint32_t w = weight_at(weights, i);
+      stage(i, w);
+      bank.weight[c] += w;
+    }
+    for (const std::uint32_t i : out) {
+      const std::uint32_t w = weight_at(weights, i);
+      stage(i, -static_cast<std::int64_t>(w));
+      bank.weight[c] -= w;
+    }
+  }
+  void merge(std::span<const Bank> banks,
+             std::vector<hdc::Accumulator>& centroids) const {
+    std::vector<std::int64_t> diff(dim() + 1);
+    std::vector<std::int64_t> counts(dim());
+    for (std::size_t c = 0; c < centroids.size(); ++c) {
+      std::ranges::copy(banks[0].diff[c], diff.begin());
+      std::uint64_t weight = banks[0].weight[c];
+      for (std::size_t chunk = 1; chunk < banks.size(); ++chunk) {
+        const auto& other = banks[chunk].diff[c];
+        for (std::size_t j = 0; j <= dim(); ++j) {
+          diff[j] += other[j];
+        }
+        weight += banks[chunk].weight[c];
+      }
+      const auto total = static_cast<std::int64_t>(weight);
+      std::int64_t covered = 0;  // F_j
+      for (std::size_t j = 0; j < dim(); ++j) {
+        covered += diff[j];
+        counts[j] = base_bits_[j] != 0 ? total - covered : covered;
+      }
+      centroids[c].assign(counts, weight);
+    }
+  }
+
+ private:
+  /// Sum over point i's runs of prefix[end] - prefix[begin].
+  std::int64_t run_sum(const std::int64_t* prefix, std::size_t i) const {
+    const auto ends = points_.endpoints(i);
+    std::int64_t sum = 0;
+    for (std::size_t k = 0; k < ends.size(); k += 2) {
+      sum += prefix[ends[k + 1]] - prefix[ends[k]];
+    }
+    return sum;
+  }
+
+  const hdc::CodedPoints& points_;
+  std::vector<std::uint8_t> base_bits_;    ///< B_j
+  std::vector<std::int64_t> base_prefix_;  ///< R
+  std::size_t base_popcount_ = 0;
+};
+
+/// The one K-Means iteration loop, over either point model: snapshot,
+/// assignment (behind the bound filter when it runs), update, reseed,
+/// convergence. Exactly one of `seed_points` (indices into the points)
+/// and `seed_centroids` (binary HVs) is non-empty; each seed enters its
+/// centroid with weight 1.
+template <typename Model>
+HvKMeansResult cluster(const Model& points, const HvKMeansConfig& config,
+                       AssignMode assign_mode,
+                       std::span<const std::uint32_t> weights,
+                       std::span<const std::size_t> seed_points,
+                       std::span<const hdc::HyperVector> seed_centroids) {
+  util::expects(points.count() != 0, "HvKMeans::run needs at least one point");
+  util::expects(points.count() >= config.clusters,
                 "HvKMeans::run needs at least as many points as clusters");
   util::expects(weights.empty() || weights.size() == points.count(),
                 "HvKMeans::run weights must be empty or match points");
   util::expects(points.count() <= std::numeric_limits<std::uint32_t>::max(),
                 "HvKMeans::run supports at most 2^32 - 1 points");
-  // The distance kernels index centroid counts by set-bit position, so a
-  // stray bit above dim would read out of bounds; enforce the padding
-  // invariant once up front (one word test per row).
-  if (points.dim() % 64 != 0) {
-    for (std::size_t i = 0; i < points.count(); ++i) {
-      util::expects(hdc::kernels::padding_is_zero(points.row(i), points.dim()),
-                    "HvKMeans::run block rows must have zero padding bits");
-    }
-  }
-
-  const auto weight_of = [&](std::size_t i) -> std::uint32_t {
-    return weights.empty() ? 1u : weights[i];
-  };
 
   const std::size_t n = points.count();
   const std::size_t dim = points.dim();
-  const std::size_t k = config_.clusters;
+  const std::size_t k = config.clusters;
   util::ThreadPool& pool =
-      config_.pool != nullptr ? *config_.pool : util::ThreadPool::shared();
+      config.pool != nullptr ? *config.pool : util::ThreadPool::shared();
 
   HvKMeansResult result;
   result.assignment.assign(n, 0);
   result.centroids.assign(k, hdc::Accumulator(dim));
   result.cluster_weights.assign(k, 0);
 
-  init_centroids(result.centroids);
+  // Initial centroids: a seed defines a direction, not a mass.
+  for (std::size_t c = 0; c < k; ++c) {
+    if (seed_centroids.empty()) {
+      util::expects(seed_points[c] < n, "HvKMeans seed index in range");
+      points.add_to(result.centroids[c], seed_points[c], 1);
+    } else {
+      result.centroids[c].add(seed_centroids[c], 1);
+    }
+  }
 
   // Cached per-point cosine norms: sqrt(popcount).
   std::vector<double> point_norm(n);
@@ -271,65 +482,43 @@ HvKMeansResult HvKMeans::run_impl(
   // kAuto puts the exact chord-bound filter in front of the exhaustive
   // cosine scan at every K; the Hamming ablation always scans
   // exhaustively.
-  const bool bounded_assign = resolved_assign_mode_ == AssignMode::kAuto &&
-                              config_.distance == ClusterDistance::kCosine;
-  // One backend resolve for the whole run; every distance scan below
-  // goes through this vtable reference instead of re-dispatching per
-  // (point, centroid) pair.
-  const hdc::simd::KernelBackend& backend = hdc::simd::active_backend();
-  const std::size_t wph = points.words_per_hv();
+  const bool hamming = config.distance == ClusterDistance::kHamming;
+  const bool bounded_assign = assign_mode == AssignMode::kAuto && !hamming;
 
-  // Update-step state: one bank of k accumulators per chunk of points.
-  // Banks persist across iterations, each the exact integer sum of its
-  // contiguous slice of points under `bank_assignment` (kNotAdded before
-  // iteration 0), so chunks update without any shared mutable state and
-  // the merge walks them in fixed order. Chunk count depends only on the
-  // pool, not on the data.
+  // Update-step state: one bank of k partial centroids per chunk of
+  // points. Banks persist across iterations, each the exact integer sum
+  // of its contiguous slice of points under `bank_assignment`
+  // (kNotAdded before iteration 0), so chunks update without any shared
+  // mutable state and the merge walks them in fixed order. Chunk count
+  // depends only on the pool, not on the data.
   constexpr auto kNotAdded = std::numeric_limits<std::uint32_t>::max();
   const std::size_t update_chunks =
       util::SerialScope::active()
           ? 1
           : std::min<std::size_t>({n, pool.thread_count(), 16});
-  std::vector<std::vector<hdc::Accumulator>> banks(
-      update_chunks, std::vector<hdc::Accumulator>(k, hdc::Accumulator(dim)));
+  std::vector<typename Model::Bank> banks;
+  banks.reserve(update_chunks);
+  for (std::size_t chunk = 0; chunk < update_chunks; ++chunk) {
+    banks.push_back(points.make_bank(k));
+  }
   std::vector<std::uint32_t> bank_assignment(n, kNotAdded);
-  // Per chunk, what one update stages: a single StagedSum, reused
-  // cluster after cluster, so its planes do not grow with k; and the
-  // chunk's moved points bucketed by destination (`in`) and by source
-  // (`out`) cluster, bucket c being [in_start[c], in_start[c + 1]) of
-  // `in`.
+  // Per chunk, its moved points bucketed by destination (`in`) and by
+  // source (`out`) cluster, bucket c being [in_start[c], in_start[c + 1])
+  // of `in`.
   struct ChunkMoves {
-    hdc::StagedSum staged;
     std::vector<std::uint32_t> in;
     std::vector<std::uint32_t> out;
     std::vector<std::size_t> in_start;
     std::vector<std::size_t> out_start;
   };
   std::vector<ChunkMoves> chunk_moves(update_chunks);
-  for (auto& moves : chunk_moves) {
-    moves.staged = hdc::StagedSum(dim);
-  }
 
   std::vector<double> distance_to_own(n, 0.0);
-  // Majority-binarized centroids for the Hamming variant; every row is
-  // fully overwritten at the top of each iteration.
-  hdc::HvBlock binary_centroids;
-  if (config_.distance == ClusterDistance::kHamming) {
-    binary_centroids = hdc::HvBlock(dim, k);
-  }
-  // Per-iteration snapshots of the centroid state, so the parallel
-  // assignment reads plain arrays instead of calling into Accumulator
-  // or re-resolving block rows per (point, centroid) pair. For cosine,
-  // the snapshot is the bit-plane decomposition of each centroid
-  // (kernels::CountPlanes): building it costs about one point's worth
-  // of work per centroid and turns every subsequent dot into
-  // plane_count() fused AND+popcount passes — the same bandwidth-bound
-  // shape (and SIMD backends) as the Hamming kernel, with bit-identical
-  // integer dots.
-  std::vector<hdc::kernels::CountPlanes> centroid_planes(
-      config_.distance == ClusterDistance::kCosine ? k : 0);
+  // Per-iteration snapshots of the centroid state (the model's distance
+  // tables), so the parallel assignment reads plain arrays instead of
+  // calling into Accumulator per (point, centroid) pair.
+  std::vector<typename Model::Snapshot> snapshots(k);
   std::vector<double> centroid_norm(k);
-  std::vector<std::span<const std::uint64_t>> binary_centroid_rows(k);
 
   // Bound-filter state, allocated only when it runs: per point an upper
   // bound on the chord to its own centroid followed by a lower bound per
@@ -345,27 +534,19 @@ HvKMeansResult HvKMeans::run_impl(
   std::vector<double> drift(bounded_assign ? k : 0);
   bool bounds_valid = false;
 
-  for (std::size_t iter = 0; iter < config_.iterations; ++iter) {
+  for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     obs::SpanScope iter_span("kmeans_iter", "core", "iter", iter);
     // Points may skip this iteration's distances only if the bounds are
     // valid and every centroid has a direction to drift along.
     bool skip_allowed = false;
     {
       const obs::SpanScope snapshot_span("centroid_snapshot", "core");
-      if (config_.distance == ClusterDistance::kHamming) {
-        for (std::size_t c = 0; c < k; ++c) {
-          const auto majority = result.centroids[c].to_majority();
-          const auto src = majority.words();
-          const auto dst = binary_centroids.row(c);
-          std::copy(src.begin(), src.end(), dst.begin());
-          binary_centroid_rows[c] = dst;
-        }
-      } else {
-        for (std::size_t c = 0; c < k; ++c) {
-          result.centroids[c].snapshot_planes(centroid_planes[c]);
-        }
-      }
       for (std::size_t c = 0; c < k; ++c) {
+        if (hamming) {
+          points.snapshot_majority(result.centroids[c], snapshots[c]);
+        } else {
+          points.snapshot_cosine(result.centroids[c], snapshots[c]);
+        }
         centroid_norm[c] = result.centroids[c].norm();
       }
       if (bounded_assign) {
@@ -383,31 +564,28 @@ HvKMeansResult HvKMeans::run_impl(
       }
     }
     // The cosine distance of one (point, centroid) pair: the zero-norm
-    // shortcut of cosine_distance_planes, else the shared float
-    // expression over the plane dot, with the backend hoisted.
-    const auto cosine_to = [&](std::size_t c,
-                               std::span<const std::uint64_t> point,
-                               double pn, AssignTally& t) {
+    // shortcut, else the shared float expression over the exact dot.
+    const auto cosine_to = [&](std::size_t c, std::size_t i,
+                               AssignTally& t) {
       ++t.evals;
       const double cn = centroid_norm[c];
+      const double pn = point_norm[i];
       if (cn == 0.0 || pn == 0.0) {
         return 1.0;
       }
       ++t.kernel_evals;
-      t.words += centroid_planes[c].plane_count() * wph;
+      t.words += points.reads(snapshots[c]);
       return hdc::kernels::cosine_distance_from_dot(
-          hdc::kernels::dot_planes(centroid_planes[c], point, backend), cn,
-          pn);
+          points.dot(snapshots[c], i), cn, pn);
     };
-    // --- Assignment step (data parallel over block rows; fused
-    // word-span kernels, no per-point HyperVector temporaries). The
-    // distance-mode and assign-mode branches are hoisted out of the
-    // inner loops: each iteration selects one of three loop bodies
-    // (exhaustive Hamming, exhaustive cosine, and the bound-filtered
-    // cosine) up front. The filtered body produces the exhaustive
-    // assignment bit for bit — it only skips candidates it can PROVE
-    // lose the argmin, index tie-break included. Every body counts the
-    // kernels it actually ran. ---
+    // --- Assignment step (data parallel over points). The distance-mode
+    // and assign-mode branches are hoisted out of the inner loops: each
+    // iteration selects one of three loop bodies (exhaustive Hamming,
+    // exhaustive cosine, and the bound-filtered cosine) up front. The
+    // filtered body produces the exhaustive assignment bit for bit — it
+    // only skips candidates it can PROVE lose the argmin, index
+    // tie-break included. Every body counts the distances it actually
+    // ran. ---
     AssignTally tally;
     {
       obs::SpanScope assign_span("kmeans_assign", "core", "iter", iter);
@@ -419,32 +597,28 @@ HvKMeansResult HvKMeans::run_impl(
         }
         distance_to_own[i] = best;
       };
-      if (config_.distance == ClusterDistance::kHamming) {
+      if (hamming) {
         tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
-          const auto point = points.row(i);
           std::size_t best = std::numeric_limits<std::size_t>::max();
           std::uint32_t best_cluster = 0;
           for (std::size_t c = 0; c < k; ++c) {
-            const std::size_t dist =
-                backend.hamming(binary_centroid_rows[c], point);
+            const std::size_t dist = points.hamming(snapshots[c], i);
             if (dist < best) {
               best = dist;
               best_cluster = static_cast<std::uint32_t>(c);
             }
+            t.words += points.reads(snapshots[c]);
           }
           t.evals += k;
           t.kernel_evals += k;
-          t.words += k * wph;
           commit(i, best_cluster, static_cast<double>(best), t);
         });
       } else if (bounded_assign) {
         tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
-          const auto point = points.row(i);
-          const double pn = point_norm[i];
           double& upper = bounds[i * bound_stride];
           double* const lower = &upper + 1;
           const std::uint32_t own = result.assignment[i];
-          const bool filter = skip_allowed && pn != 0.0;
+          const bool filter = skip_allowed && point_norm[i] != 0.0;
           // Candidate c cannot beat the own centroid (see the error
           // budget at the top of this file).
           const auto beaten = [&](std::size_t c) {
@@ -471,7 +645,7 @@ HvKMeansResult HvKMeans::run_impl(
               distance_to_own[i] = kStaleDistance;
               return;
             }
-            own_distance = cosine_to(own, point, pn, t);
+            own_distance = cosine_to(own, i, t);
             upper = chord_of(own_distance) + kChordSlack;
           }
           // The exhaustive scan (index order, strict <) over the
@@ -485,7 +659,7 @@ HvKMeansResult HvKMeans::run_impl(
                 ++t.pruned;
                 continue;
               }
-              dist = cosine_to(c, point, pn, t);
+              dist = cosine_to(c, i, t);
             }
             lower[c] = chord_of(dist) - kChordSlack;
             if (dist < best) {
@@ -498,12 +672,10 @@ HvKMeansResult HvKMeans::run_impl(
         });
       } else {
         tally = for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
-          const auto point = points.row(i);
-          const double pn = point_norm[i];
           double best = std::numeric_limits<double>::infinity();
           std::uint32_t best_cluster = 0;
           for (std::size_t c = 0; c < k; ++c) {
-            const double dist = cosine_to(c, point, pn, t);
+            const double dist = cosine_to(c, i, t);
             if (dist < best) {
               best = dist;
               best_cluster = static_cast<std::uint32_t>(c);
@@ -525,9 +697,8 @@ HvKMeansResult HvKMeans::run_impl(
     // --- Update step: move only the points whose assignment differs
     // from the one their chunk's bank holds them under (iteration 0
     // moves every point in). Each chunk buckets its moves by destination
-    // and by source cluster, stages a cluster's moved-in rows and then
-    // its moved-out rows bit-sliced, and applies the exact integer delta
-    // to the bank once; then the banks merge into the centroids in chunk
+    // and by source cluster and hands each cluster's buckets to the
+    // model's bank; then the banks merge into the centroids in chunk
     // order. Integer sums commute exactly, so the centroids (and every
     // label derived from them) equal a from-scratch re-sum of the
     // assignment, bit for bit, at any thread count. ---
@@ -537,7 +708,6 @@ HvKMeansResult HvKMeans::run_impl(
       pool.parallel_for(
           0, update_chunks,
           [&](std::size_t chunk) {
-            auto& bank = banks[chunk];
             auto& moves = chunk_moves[chunk];
             const std::size_t lo = chunk * n / update_chunks;
             const std::size_t hi = (chunk + 1) * n / update_chunks;
@@ -580,25 +750,15 @@ HvKMeansResult HvKMeans::run_impl(
               const auto out = std::span(moves.out).subspan(
                   moves.out_start[c],
                   moves.out_start[c + 1] - moves.out_start[c]);
-              if (in.empty() && out.empty()) {
-                continue;
+              if (!in.empty() || !out.empty()) {
+                points.move(banks[chunk], c, in, out, weights);
               }
-              for (const std::uint32_t i : in) {
-                moves.staged.add(points.row(i), weight_of(i));
-              }
-              for (const std::uint32_t i : out) {
-                moves.staged.sub(points.row(i), weight_of(i));
-              }
-              bank[c].apply(moves.staged);
             }
             moved.fetch_add(moves.in.size(), std::memory_order_relaxed);
           },
           /*grain=*/1);
+      points.merge(banks, result.centroids);
       for (std::size_t c = 0; c < k; ++c) {
-        result.centroids[c] = banks[0][c];
-        for (std::size_t chunk = 1; chunk < update_chunks; ++chunk) {
-          result.centroids[c].merge(banks[chunk][c]);
-        }
         result.cluster_weights[c] = result.centroids[c].total_weight();
       }
       // Iteration 0 adds every point; each later move is a sub and an
@@ -609,6 +769,7 @@ HvKMeansResult HvKMeans::run_impl(
       update_span.arg("adds", adds);
     }
     iter_span.arg("moved", moved.load());
+    result.moved_per_iteration.push_back(moved.load());
 
     // --- Empty-cluster repair: reseed with the point farthest from its
     // own centroid (deterministic: highest distance, lowest index). ---
@@ -621,8 +782,7 @@ HvKMeansResult HvKMeans::run_impl(
       const AssignTally refreshed =
           for_each_point(pool, n, [&](std::size_t i, AssignTally& t) {
             if (distance_to_own[i] == kStaleDistance) {
-              distance_to_own[i] = cosine_to(result.assignment[i],
-                                             points.row(i), point_norm[i], t);
+              distance_to_own[i] = cosine_to(result.assignment[i], i, t);
             }
           });
       result.ops.dot_adds += refreshed.kernel_evals * dim;
@@ -635,22 +795,24 @@ HvKMeansResult HvKMeans::run_impl(
       std::size_t farthest = 0;
       double farthest_distance = -1.0;
       for (std::size_t i = 0; i < n; ++i) {
-        if (result.cluster_weights[result.assignment[i]] > weight_of(i) &&
+        if (result.cluster_weights[result.assignment[i]] >
+                weight_at(weights, i) &&
             distance_to_own[i] > farthest_distance) {
           farthest_distance = distance_to_own[i];
           farthest = i;
         }
       }
       const std::uint32_t old_cluster = result.assignment[farthest];
+      const std::uint32_t w = weight_at(weights, farthest);
       result.assignment[farthest] = static_cast<std::uint32_t>(c);
       // Move the point's mass between clusters. Only the destination
       // centroid is patched, because the next assignment reads it. The
       // banks still hold the point under its old cluster, so the next
       // update moves it like any other point and its merge overwrites
       // the patch with the exact sums.
-      result.centroids[c].add(points.row(farthest), weight_of(farthest));
-      result.cluster_weights[c] += weight_of(farthest);
-      result.cluster_weights[old_cluster] -= weight_of(farthest);
+      points.add_to(result.centroids[c], farthest, w);
+      result.cluster_weights[c] += w;
+      result.cluster_weights[old_cluster] -= w;
       ++result.reseeds;
     }
     if (result.reseeds != reseeds_before) {
@@ -661,7 +823,7 @@ HvKMeansResult HvKMeans::run_impl(
     // Convergence: iteration 0 always "changes" every point relative to
     // the zero-initialised assignment, so only later iterations count;
     // a reseed also perturbs the state and voids the fixed point.
-    if (config_.stop_on_convergence && iter > 0 && tally.changed == 0 &&
+    if (config.stop_on_convergence && iter > 0 && tally.changed == 0 &&
         result.reseeds == reseeds_before) {
       result.converged = true;
       break;
@@ -669,6 +831,142 @@ HvKMeansResult HvKMeans::run_impl(
   }
 
   return result;
+}
+
+/// Per-point cosine margins against final centroids, through the model's
+/// snapshot and dot: the same exact integers and float expression as the
+/// assignment step.
+template <typename Model>
+std::vector<float> margins(const Model& points,
+                           std::span<const hdc::Accumulator> centroids,
+                           util::ThreadPool& pool) {
+  const std::size_t k = centroids.size();
+  std::vector<typename Model::Snapshot> snapshots(k);
+  std::vector<double> centroid_norm(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    points.snapshot_cosine(centroids[c], snapshots[c]);
+    centroid_norm[c] = centroids[c].norm();
+  }
+  std::vector<float> margin(points.count(), 0.0F);
+  pool.parallel_for(
+      0, points.count(),
+      [&](std::size_t i) {
+        const double point_norm =
+            std::sqrt(static_cast<double>(points.popcount(i)));
+        double best = std::numeric_limits<double>::infinity();
+        double second = std::numeric_limits<double>::infinity();
+        for (std::size_t c = 0; c < k; ++c) {
+          const double d = hdc::kernels::cosine_distance_from_dot(
+              points.dot(snapshots[c], i), centroid_norm[c], point_norm);
+          if (d < best) {
+            second = best;
+            best = d;
+          } else if (d < second) {
+            second = d;
+          }
+        }
+        margin[i] = static_cast<float>(second - best);
+      },
+      /*grain=*/64);
+  return margin;
+}
+
+void expect_seed_centroids(std::span<const hdc::HyperVector> seed_centroids,
+                           std::size_t clusters, std::size_t dim) {
+  util::expects(seed_centroids.size() == clusters,
+                "HvKMeans::run_from_centroids needs exactly `clusters` "
+                "seed centroids");
+  for (const auto& seed : seed_centroids) {
+    util::expects(seed.dim() == dim,
+                  "HvKMeans::run_from_centroids seed centroid dimension "
+                  "must match the points");
+  }
+}
+
+util::ThreadPool& pool_or_shared(util::ThreadPool* pool) {
+  return pool != nullptr ? *pool : util::ThreadPool::shared();
+}
+
+}  // namespace
+
+HvKMeans::HvKMeans(const HvKMeansConfig& config) : config_(config) {
+  util::expects(config_.clusters >= 2 && config_.clusters <= 4096,
+                "HvKMeans supports 2..4096 clusters");
+  util::expects(config_.iterations >= 1,
+                "HvKMeans needs at least one iteration");
+  // Assignment-mode resolution order mirrors the other knobs (config >
+  // environment > auto), with malformed overrides a hard error — a
+  // forced CI assignment mode that silently fell back would make the
+  // filter-vs-exhaustive matrix meaningless.
+  resolved_assign_mode_ = config_.assign_mode;
+  if (resolved_assign_mode_ == AssignMode::kAuto) {
+    const char* env = std::getenv("SEGHDC_ASSIGN_MODE");
+    if (env != nullptr && *env != '\0') {
+      const std::string_view value(env);
+      if (value == "exhaustive") {
+        resolved_assign_mode_ = AssignMode::kExhaustive;
+      } else if (value != "auto") {
+        throw std::invalid_argument(
+            std::string("SEGHDC_ASSIGN_MODE must be one of "
+                        "auto|exhaustive, got '") +
+            env + "'");
+      }
+    }
+  }
+}
+
+HvKMeansResult HvKMeans::run(std::span<const hdc::HyperVector> points,
+                             std::span<const std::uint32_t> weights,
+                             std::span<const std::size_t> seed_points) const {
+  // from_hvs validates uniform dimensions; the block overload validates
+  // the rest (an empty span packs to an empty block, which it rejects).
+  return run(hdc::HvBlock::from_hvs(points), weights, seed_points);
+}
+
+HvKMeansResult HvKMeans::run(const hdc::HvBlock& points,
+                             std::span<const std::uint32_t> weights,
+                             std::span<const std::size_t> seed_points) const {
+  util::expects(seed_points.size() == config_.clusters,
+                "HvKMeans::run needs exactly `clusters` seed points");
+  return cluster(DenseModel(points), config_, resolved_assign_mode_, weights,
+                 seed_points, {});
+}
+
+HvKMeansResult HvKMeans::run(const hdc::CodedPoints& points,
+                             std::span<const std::uint32_t> weights,
+                             std::span<const std::size_t> seed_points) const {
+  util::expects(seed_points.size() == config_.clusters,
+                "HvKMeans::run needs exactly `clusters` seed points");
+  return cluster(CodedModel(points), config_, resolved_assign_mode_, weights,
+                 seed_points, {});
+}
+
+HvKMeansResult HvKMeans::run_from_centroids(
+    const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
+    std::span<const hdc::HyperVector> seed_centroids) const {
+  expect_seed_centroids(seed_centroids, config_.clusters, points.dim());
+  return cluster(DenseModel(points), config_, resolved_assign_mode_, weights,
+                 {}, seed_centroids);
+}
+
+HvKMeansResult HvKMeans::run_from_centroids(
+    const hdc::CodedPoints& points, std::span<const std::uint32_t> weights,
+    std::span<const hdc::HyperVector> seed_centroids) const {
+  expect_seed_centroids(seed_centroids, config_.clusters, points.dim());
+  return cluster(CodedModel(points), config_, resolved_assign_mode_, weights,
+                 {}, seed_centroids);
+}
+
+std::vector<float> cosine_margins(const hdc::HvBlock& points,
+                                  std::span<const hdc::Accumulator> centroids,
+                                  util::ThreadPool* pool) {
+  return margins(DenseModel(points), centroids, pool_or_shared(pool));
+}
+
+std::vector<float> cosine_margins(const hdc::CodedPoints& points,
+                                  std::span<const hdc::Accumulator> centroids,
+                                  util::ThreadPool* pool) {
+  return margins(CodedModel(points), centroids, pool_or_shared(pool));
 }
 
 std::vector<std::size_t> largest_color_difference_seeds(

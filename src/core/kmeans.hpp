@@ -9,22 +9,31 @@
 //
 // This implementation adds engineering features with identical
 // semantics: (1) points carry integer multiplicities, so deduplicated
-// pixel sets cluster exactly like the full pixel set; (2) the assignment
-// step runs data-parallel, with the cosine dot reformulated word-blocked
-// (per-centroid bit-plane snapshots, kernels::CountPlanes) so it streams
-// fused AND+popcount passes through the dispatched SIMD backend instead
-// of walking set bits serially — the integer dot, and therefore every
-// label, is bit-identical to the serial formulation; (3) the update step
-// keeps one persistent bank of partial centroids per chunk of points and
-// each iteration moves only the points whose assignment changed, in
-// parallel per chunk: the chunk buckets its moves by destination and by
-// source cluster, and per cluster stages the moved-in rows and then the
-// moved-out rows in one bit-sliced hdc::StagedSum (8 rows per
-// carry-save vertical count, a few word operations per row word) and
-// applies the exact integer delta to its bank once (Accumulator::apply).
-// The banks then merge in fixed order — integer sums are
-// order-independent, so the centroids equal a from-scratch re-sum and
-// are bit-identical for every thread count; (4) the assignment skips
+// pixel sets cluster exactly like the full pixel set; (2) one iteration
+// loop (snapshot, assign, update, reseed, convergence) runs over either
+// of two point models, and every distance, popcount and centroid is the
+// same exact integer in both:
+//   - dense rows (hdc::HvBlock): each centroid is snapshotted as bit
+//     planes (kernels::CountPlanes), so a cosine dot is plane_count()
+//     fused AND+popcount passes through the dispatched SIMD backend;
+//     the model of the kRandom codebooks and of bit errors;
+//   - coded points (hdc::CodedPoints): every HV is a base B XOR a few
+//     flip runs, so each centroid is snapshotted as one prefix-sum table
+//     over the dimension and a dot, a popcount or a Hamming distance is
+//     a sum over the point's run endpoints — O(endpoints), not d/64
+//     words per plane;
+// (3) the assignment step runs data-parallel over points, and the update
+// step keeps one persistent bank of partial centroids per chunk of
+// points: each iteration moves only the points whose assignment
+// changed, in parallel per chunk, bucketed by destination and by source
+// cluster. A dense bank stages a cluster's moved rows in one bit-sliced
+// hdc::StagedSum and applies the exact integer delta once
+// (Accumulator::apply); a coded bank keeps a difference array over the
+// dimension per cluster, so a moved point changes only the entries at
+// its endpoints, and the merge prefix-sums it into counts. The banks
+// merge in fixed order — integer sums are order-independent, so the
+// centroids equal a from-scratch re-sum and are bit-identical for every
+// thread count and for both models; (4) the assignment skips
 // work it can prove does not change the argmin. At every cluster count
 // each point keeps Elkan's triangle-inequality bounds in chord units,
 // |x^ - c^| = sqrt(2 * cosine distance): an upper bound to its own
@@ -39,13 +48,13 @@
 #define SEGHDC_CORE_KMEANS_HPP
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "src/core/config.hpp"
 #include "src/core/op_counts.hpp"
 #include "src/hdc/accumulator.hpp"
+#include "src/hdc/coded_points.hpp"
 #include "src/hdc/hypervector.hpp"
 #include "src/hdc/kernels.hpp"
 #include "src/util/parallel.hpp"
@@ -92,6 +101,11 @@ struct HvKMeansResult {
   bool converged = false;
   /// Number of empty-cluster reseeds performed.
   std::size_t reseeds = 0;
+  /// Points the update step moved, one entry per iteration run:
+  /// iteration 0 adds every point, later entries count the points whose
+  /// cluster changed (a reseeded point moves in the next iteration's
+  /// update). A converged run ends on 0.
+  std::vector<std::uint64_t> moved_per_iteration;
   /// Work performed. Assignment accounting is measured, not assumed,
   /// and every path counts the kernels it ran: `distance_evals` counts
   /// pairs whose exact distance was computed (the zero-norm 1.0
@@ -100,7 +114,8 @@ struct HvKMeansResult {
   /// both modes; a point the bound filter skips adds `clusters`),
   /// `dot_adds` adds `dim` per dot/scan that ran (n*k*dim for an
   /// exhaustive run without zero rows), and `words_scanned` counts the
-  /// words the kernels streamed. The exact distances a reseed
+  /// words the dense kernels streamed, or the prefix entries a coded
+  /// distance read (its endpoints). The exact distances a reseed
   /// recomputes for skipped points add to `dot_adds` and
   /// `words_scanned` only.
   /// `centroid_update_adds` is measured too, as the op model's logical
@@ -124,11 +139,21 @@ class HvKMeans {
                      std::span<const std::uint32_t> weights,
                      std::span<const std::size_t> seed_points) const;
 
-  /// The primary entry point: clusters the rows of a packed `HvBlock`
+  /// The dense entry point: clusters the rows of a packed `HvBlock`
   /// (at most 2^32 - 1 of them; an image has fewer pixels). The
   /// assignment step streams the fused word-span kernels over block
   /// rows in parallel — no per-point HyperVector is ever materialised.
   HvKMeansResult run(const hdc::HvBlock& points,
+                     std::span<const std::uint32_t> weights,
+                     std::span<const std::size_t> seed_points) const;
+
+  /// The coded entry point: clusters interval-coded points, each a base
+  /// HV XOR its flip runs (see hdc::CodedPoints; endpoints must be
+  /// sorted and within the dimension). Returns exactly what the dense
+  /// `run` returns on the same points expanded to rows — assignment,
+  /// centroids, reseeds, iterations and op counts — except
+  /// `ops.words_scanned`, which counts prefix entries read here.
+  HvKMeansResult run(const hdc::CodedPoints& points,
                      std::span<const std::uint32_t> weights,
                      std::span<const std::size_t> seed_points) const;
 
@@ -144,25 +169,33 @@ class HvKMeans {
   /// exactly `clusters` seed HVs of the points' dimension, zero-padded
   /// like every HyperVector. Deterministic like `run`: same points,
   /// weights, and seed centroids give bit-identical assignments at every
-  /// pool size and backend.
+  /// pool size and backend, and for both point models.
   HvKMeansResult run_from_centroids(
       const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
       std::span<const hdc::HyperVector> seed_centroids) const;
+  HvKMeansResult run_from_centroids(
+      const hdc::CodedPoints& points, std::span<const std::uint32_t> weights,
+      std::span<const hdc::HyperVector> seed_centroids) const;
 
  private:
-  /// Shared iteration core; `init_centroids` seeds `centroids` (already
-  /// sized to `clusters`, all zero) with the initial directions.
-  HvKMeansResult run_impl(
-      const hdc::HvBlock& points, std::span<const std::uint32_t> weights,
-      const std::function<void(std::vector<hdc::Accumulator>&)>&
-          init_centroids) const;
-
   HvKMeansConfig config_;
   /// config_.assign_mode with the SEGHDC_ASSIGN_MODE environment
   /// override folded in (kAuto only; resolved once in the constructor,
   /// hard error on unknown values).
   AssignMode resolved_assign_mode_ = AssignMode::kAuto;
 };
+
+/// Per-point confidence margins against `centroids` (a clustering's
+/// final ones): the cosine distance to the second-closest centroid minus
+/// the distance to the closest, through the same exact dot and float
+/// expression as the assignment step, for either point model. `pool`
+/// nullptr = the shared pool; the values do not depend on it.
+std::vector<float> cosine_margins(const hdc::HvBlock& points,
+                                  std::span<const hdc::Accumulator> centroids,
+                                  util::ThreadPool* pool = nullptr);
+std::vector<float> cosine_margins(const hdc::CodedPoints& points,
+                                  std::span<const hdc::Accumulator> centroids,
+                                  util::ThreadPool* pool = nullptr);
 
 /// Farthest-point sampling over scalar intensities: returns `clusters`
 /// distinct point indices, starting with the min/max pair (the "largest

@@ -10,9 +10,16 @@
 namespace seghdc::core {
 
 /// Elementary-operation counts, in units of vector *elements* processed
-/// (a d-dimensional XOR counts d bind_xor_bits, etc.).
+/// (a d-dimensional XOR counts d bind_xor_bits, etc.). The element
+/// units are those of the paper's dense pixel HVs on both of the
+/// clusterer's point models: a unique point coded as flip runs counts d
+/// bind_xor_bits like a bound row, a coded popcount d popcount_bits and
+/// a coded dot d dot_adds, though each costs O(endpoints). So every
+/// serving path reports the same counts for the same image, whichever
+/// model ran, and the device model's inputs do not depend on it; only
+/// words_scanned measures the model's own work.
 struct OpCounts {
-  std::uint64_t bind_xor_bits = 0;       ///< XOR binding work
+  std::uint64_t bind_xor_bits = 0;       ///< XOR binding (or coding) work
   std::uint64_t popcount_bits = 0;       ///< popcount/Hamming work
   std::uint64_t dot_adds = 0;            ///< centroid dot-product adds
   /// Centroid accumulation adds. Measured for a clustering run as the op
@@ -31,10 +38,12 @@ struct OpCounts {
   /// iterations for a clustering run. Zero under AssignMode::kExhaustive
   /// and for the Hamming ablation, which always scans exhaustively.
   std::uint64_t candidates_pruned = 0;
-  /// 64-bit words actually streamed by the assignment distance kernels
-  /// (each cosine plane pass counts its own words). The honest
-  /// bandwidth figure the bound filter is judged by, where dot_adds
-  /// stays in logical element units.
+  /// What the assignment's distances actually read: on dense rows the
+  /// 64-bit words the kernels streamed (each cosine plane pass counts
+  /// its own words), on coded points the prefix-table entries read (one
+  /// per endpoint per distance). The honest work figure the bound
+  /// filter is judged by, where dot_adds stays in logical element
+  /// units; the one field that differs between the two models.
   std::uint64_t words_scanned = 0;
 
   std::uint64_t total_element_ops() const {

@@ -94,6 +94,7 @@ PositionEncoder::PositionEncoder(const PositionEncoderConfig& config,
                     "blocks (ladder exceeds the second half)");
       // Rows flip inside [0, d/2), columns inside [d/2, d) — disjoint
       // regions are what make XOR binding distance-preserving (Fig. 3(b)).
+      col_region_begin_ = half;
       build_ladder(row_ladder_, row_blocks, x_row_, 0, half, rng);
       build_ladder(col_ladder_, col_blocks, x_col_, half, d, rng);
       return;
@@ -140,6 +141,22 @@ const hdc::HyperVector& PositionEncoder::col_hv(std::size_t j) const {
 
 hdc::HyperVector PositionEncoder::encode(std::size_t i, std::size_t j) const {
   return row_hv(i) ^ col_hv(j);
+}
+
+std::pair<std::size_t, std::size_t> PositionEncoder::row_run(
+    std::size_t i) const {
+  util::expects(config_.encoding != PositionEncoding::kRandom,
+                "PositionEncoder::row_run needs a flip-run ladder");
+  util::expects(i < config_.rows, "PositionEncoder::row_run row in range");
+  return {0, row_block(i) * x_row_};
+}
+
+std::pair<std::size_t, std::size_t> PositionEncoder::col_run(
+    std::size_t j) const {
+  util::expects(config_.encoding != PositionEncoding::kRandom,
+                "PositionEncoder::col_run needs a flip-run ladder");
+  util::expects(j < config_.cols, "PositionEncoder::col_run column in range");
+  return {col_region_begin_, col_region_begin_ + col_block(j) * x_col_};
 }
 
 std::size_t PositionEncoder::row_block(std::size_t i) const {

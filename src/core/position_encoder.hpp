@@ -16,6 +16,7 @@
 #define SEGHDC_CORE_POSITION_ENCODER_HPP
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "src/core/config.hpp"
@@ -66,6 +67,14 @@ class PositionEncoder {
   std::size_t distinct_rows() const { return row_ladder_.size(); }
   std::size_t distinct_cols() const { return col_ladder_.size(); }
 
+  /// The flip run [begin, end) that turns row_hv(0) into row_hv(i), and
+  /// col_hv(0) into col_hv(j): block b's ladder HV flips b flip units
+  /// from the start of its region. The constructor rejects ladders that
+  /// would overrun their region, so a run never wraps. Not for kRandom,
+  /// whose ladders are not flip runs.
+  std::pair<std::size_t, std::size_t> row_run(std::size_t i) const;
+  std::pair<std::size_t, std::size_t> col_run(std::size_t j) const;
+
   /// Bits flipped per row/column block step (0 for kRandom).
   std::size_t row_flip_unit() const { return x_row_; }
   std::size_t col_flip_unit() const { return x_col_; }
@@ -80,6 +89,7 @@ class PositionEncoder {
   std::size_t block_ = 1;   ///< effective beta (1 unless kBlockDecay)
   std::size_t x_row_ = 0;
   std::size_t x_col_ = 0;
+  std::size_t col_region_begin_ = 0;  ///< rows flip from bit 0
   std::vector<hdc::HyperVector> row_ladder_;  ///< one HV per row block
   std::vector<hdc::HyperVector> col_ladder_;  ///< one HV per column block
 };

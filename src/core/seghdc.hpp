@@ -25,16 +25,27 @@
 
 #include "src/core/config.hpp"
 #include "src/core/op_counts.hpp"
+#include "src/hdc/coded_points.hpp"
 #include "src/hdc/kernels.hpp"
 #include "src/imaging/image.hpp"
 
 namespace seghdc::core {
 
 /// The encoded form of an image: one HV per *unique* (position block,
-/// color) pair plus the pixel -> unique-point mapping. The HVs live in
-/// one contiguous structure-of-arrays block (row u = unique point u) so
-/// the clusterer streams them with the word-span kernels.
+/// color) pair plus the pixel -> unique-point mapping. Point u's HV is
+/// carried in one or both of two forms:
+///   - `coded`: the base HV B and point u's sorted flip-run endpoints
+///     (hdc::CodedPoints; 6 for gray, 10 for RGB), for every config whose
+///     HVs are flip runs — any position encoding but kRandom, colour
+///     kLevelLadder, bit_error_rate 0. Empty otherwise.
+///   - `unique_hvs`: the bound dense rows (row u = unique point u), one
+///     contiguous block the word-span kernels stream. Always filled by
+///     the public `encode()`; `segment()`, `segment_many()` and
+///     `segment_stream()` skip the bind when the points are coded.
+/// The clusterer and the margins use the coded points whenever they are
+/// present; expanded, each equals its dense row bit for bit.
 struct EncodedImage {
+  hdc::CodedPoints coded;
   hdc::HvBlock unique_hvs;
   std::vector<std::uint32_t> weights;          ///< pixels per unique point
   std::vector<std::uint32_t> pixel_to_unique;  ///< row-major, size = pixels
@@ -42,6 +53,11 @@ struct EncodedImage {
   std::size_t width = 0;
   std::size_t height = 0;
   OpCounts ops;  ///< encoding work actually performed
+
+  /// Number of unique points, whichever form carries them.
+  std::size_t point_count() const {
+    return coded.empty() ? unique_hvs.count() : coded.count();
+  }
 };
 
 struct SegmentationTimings {
@@ -60,6 +76,10 @@ struct SegmentationResult {
   std::size_t clusters = 0;
   std::size_t iterations_run = 0;
   std::size_t unique_points = 0;  ///< points actually clustered
+  /// Unique points the K-Means update moved, one entry per iteration run
+  /// (HvKMeansResult::moved_per_iteration): iteration 0 adds every
+  /// point, a converged run ends on 0.
+  std::vector<std::uint64_t> moved_per_iteration;
   std::vector<std::uint64_t> cluster_pixel_counts;
   SegmentationTimings timings;
   /// Work actually performed (after deduplication).

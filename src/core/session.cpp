@@ -105,16 +105,31 @@ std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t count) {
   return hash;
 }
 
+/// True when every pixel HV of `config` is a fixed base XOR flip runs:
+/// the position ladders flip runs unless they are kRandom, the colour
+/// ladder flips prefixes of its channel slices, and no bit error is
+/// injected afterwards.
+bool flip_run_config(const SegHdcConfig& config) {
+  return config.position_encoding != PositionEncoding::kRandom &&
+         config.color_encoding == ColorEncoding::kLevelLadder &&
+         config.bit_error_rate == 0.0;
+}
+
 }  // namespace
 
 /// The immutable encoder state for one image geometry: the position and
-/// color item memories. Construction order matters — the position
-/// encoder consumes the seeded RNG stream first, then the color encoder,
-/// exactly as the stateless `SegHdc::segment` path always has, so the
-/// cached state reproduces its outputs bit for bit.
+/// color item memories, and for flip-run configs the base HV B of the
+/// coded points. Construction order matters — the position encoder
+/// consumes the seeded RNG stream first, then the color encoder, exactly
+/// as the stateless `SegHdc::segment` path always has, so the cached
+/// state reproduces its outputs bit for bit. B draws nothing.
 struct SegHdcSession::EncoderState {
   PositionEncoder position;
   ColorEncoder color;
+  /// row_hv(0) ^ col_hv(0) ^ colour level 0 of every channel, the HV
+  /// every coded point is coded against; dimension 0 when the config's
+  /// HVs are not flip runs (they are then bound as dense rows).
+  hdc::HyperVector coded_base;
 
   EncoderState(const SegHdcConfig& config, const img::ImageU8& image,
                util::Rng& rng)
@@ -136,7 +151,15 @@ struct SegHdcSession::EncoderState {
                 .encoding = config.color_encoding,
                 .gamma = config.gamma,
             },
-            rng) {}
+            rng) {
+    if (flip_run_config(config)) {
+      const std::vector<std::uint8_t> level_zero(image.channels(), 0);
+      coded_base = position.row_hv(0) ^ position.col_hv(0) ^
+                   color.encode(level_zero);
+    }
+  }
+
+  bool coded() const { return coded_base.dim() != 0; }
 };
 
 /// Reusable per-worker arena for encode: the row bands' dedup tables and
@@ -291,16 +314,18 @@ EncodedImage SegHdcSession::encode(const img::ImageU8& image) const {
   validate_image(image);
   std::unique_lock<std::mutex> lock(scratch_mutex_, std::try_to_lock);
   if (lock.owns_lock()) {
-    return encode_impl(image, state_for(image), shared_scratch());
+    return encode_impl(image, state_for(image), shared_scratch(),
+                       /*bind_rows=*/true);
   }
   EncodeScratch scratch;
-  return encode_impl(image, state_for(image), scratch);
+  return encode_impl(image, state_for(image), scratch, /*bind_rows=*/true);
 }
 
 EncodedImage SegHdcSession::encode(const img::ImageU8& image,
                                    Scratch& scratch) const {
   validate_image(image);
-  return encode_impl(image, state_for(image), *scratch.impl_);
+  return encode_impl(image, state_for(image), *scratch.impl_,
+                     /*bind_rows=*/true);
 }
 
 SegmentationResult SegHdcSession::segment(const img::ImageU8& image,
@@ -316,7 +341,8 @@ SegmentationResult SegHdcSession::cluster_and_finalize(
   util::expects(
       encoded.pixel_to_unique.size() == encoded.width * encoded.height,
       "cluster_and_finalize: pixel_to_unique does not cover the image");
-  util::expects(encoded.unique_hvs.dim() == config_.dim,
+  util::expects((encoded.coded.empty() ? encoded.unique_hvs.dim()
+                                        : encoded.coded.dim()) == config_.dim,
                 "cluster_and_finalize: encode dim != session config dim");
   return finalize_impl(std::move(encoded));
 }
@@ -337,6 +363,7 @@ SegHdcSession::EncodeScratch& SegHdcSession::shared_scratch() const {
 EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
                                         const EncoderState& state,
                                         EncodeScratch& scratch,
+                                        bool bind_rows,
                                         const StreamState* stream) const {
   const PositionEncoder& position_encoder = state.position;
   const ColorEncoder& color_encoder = state.color;
@@ -469,15 +496,28 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
       },
       /*grain=*/1);
 
-  // --- Step 3: bind every unique point of every band straight from the
-  // encoder tables, data-parallel over points: row u = row HV ^ column
-  // HV ^ one placed color row per channel, the concatenated color HV
-  // without building it. A reused band is bound like a scanned one; its
-  // reuse only skipped the scan. ---
+  // --- Step 3: one pass over the unique points of every band,
+  // data-parallel: each point's intensity and its HV, in the forms this
+  // encode carries. A flip-run config codes the point: its row, column
+  // and one colour run per channel, sorted into endpoints against the
+  // state's base HV; that is all segment()'s path clusters. Dense rows
+  // are bound when the HVs are not flip runs, or when the caller wants
+  // them (the public encode()): row u = row HV ^ column HV ^ one placed
+  // color row per channel, the concatenated color HV without building
+  // it. A reused band is coded and bound like a scanned one; its reuse
+  // only skipped the scan. ---
+  const bool coded = state.coded();
+  const bool dense = !coded || bind_rows;
   {
     const obs::SpanScope span("encode_bind", "core", "points", n_unique);
     encoded.intensities.resize(n_unique);
-    encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
+    if (coded) {
+      encoded.coded =
+          hdc::CodedPoints(state.coded_base, 2 * (2 + channels), n_unique);
+    }
+    if (dense) {
+      encoded.unique_hvs = hdc::HvBlock(config_.dim, n_unique);
+    }
     const auto bands_end =
         bands.begin() + static_cast<std::ptrdiff_t>(band_count);
     pool().parallel_for(
@@ -491,16 +531,41 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
               channels == 1
                   ? ref.color[0]
                   : img::luma(ref.color[0], ref.color[1], ref.color[2]);
-          const auto row = encoded.unique_hvs.row(u);
-          hdc::kernels::xor_words(row, position_encoder.row_hv(ref.y).words(),
-                                  position_encoder.col_hv(ref.x).words());
-          for (std::size_t c = 0; c < channels; ++c) {
-            hdc::kernels::xor_words(row, row,
-                                    color_encoder.placed(c, ref.color[c]));
+          if (coded) {
+            // The colour runs come sorted (each is a prefix of its own
+            // channel slice, slices in order); the two position runs
+            // are sorted apart (kUniform's overlap), then merged in.
+            std::array<std::uint32_t, 4> position;
+            std::array<std::uint32_t, 6> colour;
+            const auto put = [](auto& out, std::size_t at,
+                                std::pair<std::size_t, std::size_t> run) {
+              out[at] = static_cast<std::uint32_t>(run.first);
+              out[at + 1] = static_cast<std::uint32_t>(run.second);
+            };
+            put(position, 0, position_encoder.row_run(ref.y));
+            put(position, 2, position_encoder.col_run(ref.x));
+            for (std::size_t c = 0; c < channels; ++c) {
+              put(colour, 2 * c, color_encoder.level_run(c, ref.color[c]));
+            }
+            std::ranges::sort(position);
+            std::ranges::merge(position,
+                               std::span(colour).first(2 * channels),
+                               encoded.coded.endpoints(u).begin());
+          }
+          if (dense) {
+            const auto row = encoded.unique_hvs.row(u);
+            hdc::kernels::xor_words(row,
+                                    position_encoder.row_hv(ref.y).words(),
+                                    position_encoder.col_hv(ref.x).words());
+            for (std::size_t c = 0; c < channels; ++c) {
+              hdc::kernels::xor_words(row, row,
+                                      color_encoder.placed(c, ref.color[c]));
+            }
           }
         },
         /*grain=*/64);
   }
+  // One d-element bind per unique point, whether it was coded or bound.
   encoded.ops.bind_xor_bits += n_unique * config_.dim;
 
   // --- Step 4: fault injection corrupts the image's rows at the
@@ -532,7 +597,8 @@ SegmentationResult SegHdcSession::segment_impl(const img::ImageU8& image,
                                                EncodeScratch& scratch) const {
   const util::Stopwatch total_watch;
   const util::Stopwatch encode_watch;
-  EncodedImage encoded = encode_impl(image, state_for(image), scratch);
+  EncodedImage encoded =
+      encode_impl(image, state_for(image), scratch, /*bind_rows=*/false);
   const double encode_seconds = encode_watch.seconds();
 
   SegmentationResult result = finalize_impl(std::move(encoded));
@@ -552,7 +618,7 @@ SegmentationResult SegHdcSession::finalize_impl(
 
   SegmentationResult result;
   result.clusters = config_.clusters;
-  result.unique_points = encoded.unique_hvs.size();
+  result.unique_points = encoded.point_count();
 
   phase_watch.reset();
   const HvKMeans kmeans(HvKMeansConfig{
@@ -564,25 +630,26 @@ SegmentationResult SegHdcSession::finalize_impl(
                              options.force_stop_on_convergence,
       .pool = pool_,
   });
-  HvKMeansResult clustering;
-  {
-    obs::SpanScope span("kmeans", "core", "unique_points",
-                        encoded.unique_hvs.size());
+  // The coded points when the encode carries them, else the dense rows:
+  // the same clustering either way.
+  const auto cluster = [&](const auto& points) {
+    obs::SpanScope span("kmeans", "core", "unique_points", points.count());
     if (!options.warm_centroids.empty()) {
       // Warm start (stream path): seed from the previous frame's majority
       // centroids — the seed-selection scan is skipped entirely.
-      clustering = kmeans.run_from_centroids(encoded.unique_hvs,
-                                             encoded.weights,
-                                             options.warm_centroids);
       span.arg("warm", 1);
-    } else {
-      // Initial centroids: pixels with the largest color difference
-      // (Section III-④).
-      const auto seeds = largest_color_difference_seeds(
-          encoded.intensities, config_.clusters);
-      clustering = kmeans.run(encoded.unique_hvs, encoded.weights, seeds);
+      return kmeans.run_from_centroids(points, encoded.weights,
+                                       options.warm_centroids);
     }
-  }
+    // Initial centroids: pixels with the largest color difference
+    // (Section III-④).
+    const auto seeds = largest_color_difference_seeds(encoded.intensities,
+                                                      config_.clusters);
+    return kmeans.run(points, encoded.weights, seeds);
+  };
+  const bool coded = !encoded.coded.empty();
+  HvKMeansResult clustering =
+      coded ? cluster(encoded.coded) : cluster(encoded.unique_hvs);
   result.timings.cluster_seconds = phase_watch.seconds();
 
   if (options.centroids_out != nullptr) {
@@ -611,55 +678,29 @@ SegmentationResult SegHdcSession::finalize_impl(
 
   result.ops = encoded.ops + clustering.ops;
 
-  // Optional confidence margins from the final centroids. Everything in
+  // Optional confidence margins from the final centroids, through the
+  // clusterer's own distance on the same point model. Everything in
   // this block — norms, distances, and their op counts — exists only
   // when margins are requested; with compute_margins off the pipeline
   // performs (and reports) zero margin work and result.margins stays
   // empty.
   if (config_.compute_margins) {
-    std::vector<float> unique_margin(encoded.unique_hvs.size(), 0.0F);
-    std::vector<double> centroid_norm(clustering.centroids.size());
-    // Same word-blocked cosine as the clusterer's assignment step: one
-    // bit-plane snapshot per final centroid, then fused AND+popcount
-    // passes per point (bit-identical dots, SIMD-dispatched).
-    std::vector<hdc::kernels::CountPlanes> centroid_planes(
-        clustering.centroids.size());
-    for (std::size_t c = 0; c < clustering.centroids.size(); ++c) {
-      centroid_norm[c] = clustering.centroids[c].norm();
-      clustering.centroids[c].snapshot_planes(centroid_planes[c]);
-    }
-    pool().parallel_for(
-        0, encoded.unique_hvs.size(),
-        [&](std::size_t u) {
-          const auto point = encoded.unique_hvs.row(u);
-          const double point_norm = std::sqrt(
-              static_cast<double>(encoded.unique_hvs.popcount(u)));
-          double best = std::numeric_limits<double>::infinity();
-          double second = std::numeric_limits<double>::infinity();
-          for (std::size_t c = 0; c < clustering.centroids.size(); ++c) {
-            const double d = hdc::kernels::cosine_distance_planes(
-                centroid_planes[c], centroid_norm[c], point, point_norm);
-            if (d < best) {
-              second = best;
-              best = d;
-            } else if (d < second) {
-              second = d;
-            }
-          }
-          unique_margin[u] = static_cast<float>(second - best);
-        },
-        /*grain=*/64);
+    const std::vector<float> unique_margin =
+        coded ? cosine_margins(encoded.coded, clustering.centroids, pool_)
+              : cosine_margins(encoded.unique_hvs, clustering.centroids,
+                               pool_);
     result.margins = img::ImageF32(encoded.width, encoded.height, 1);
     for (std::size_t p = 0; p < encoded.pixel_to_unique.size(); ++p) {
       result.margins.pixels()[p] =
           unique_margin[encoded.pixel_to_unique[p]];
     }
-    const auto unique = static_cast<std::uint64_t>(encoded.unique_hvs.size());
+    const auto unique = static_cast<std::uint64_t>(result.unique_points);
     result.ops.popcount_bits += unique * config_.dim;
     result.ops.dot_adds += unique * config_.clusters * config_.dim;
     result.ops.distance_evals += unique * config_.clusters;
   }
 
+  result.moved_per_iteration = std::move(clustering.moved_per_iteration);
   result.iterations_run = clustering.iterations_run;
   result.paper_equivalent_ops = analytic_seghdc_ops(
       encoded.width * encoded.height, config_.dim, config_.clusters,
@@ -716,7 +757,8 @@ StreamFrameResult SegHdcSession::segment_stream(const img::ImageU8& frame,
   }
 
   const util::Stopwatch encode_watch;
-  EncodedImage encoded = encode_impl(frame, state, s.scratch, &s);
+  EncodedImage encoded =
+      encode_impl(frame, state, s.scratch, /*bind_rows=*/false, &s);
   const double encode_seconds = encode_watch.seconds();
   for (std::size_t t = 0; t < stats.tiles_total; ++t) {
     stats.tiles_reused += s.scratch.bands[t].reused ? 1 : 0;

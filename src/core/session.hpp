@@ -18,8 +18,10 @@
 //
 // Inside one call, the encode is cut into row bands of whole block rows
 // (see SegHdcConfig::tile_rows): the dedup scan, the weight histogram,
-// and the bind pass all parallelise across the pool, so a single large
-// image saturates the cores, not just batches of small ones.
+// and the point pass (coding each unique point as flip runs, or binding
+// its row for kRandom and bit-error configs) all parallelise across the
+// pool, so a single large image saturates the cores, not just batches
+// of small ones.
 //
 // Guarantees:
 //   - `segment` is bitwise-identical to `SegHdc::segment` for the same
@@ -59,9 +61,9 @@ namespace seghdc::core {
 /// (`SegHdcSession::segment_stream`): what the warm-start machinery
 /// actually did for this frame, so serving dashboards and the bench can
 /// report measured reuse instead of assumed reuse. Band reuse saves the
-/// dedup scan only: every encoded frame binds all its unique points, so
-/// its `ops.bind_xor_bits` is unique points x dim, warm or cold; a
-/// replayed frame's is 0.
+/// dedup scan only: every encoded frame codes (or binds) all its unique
+/// points, so its `ops.bind_xor_bits` is unique points x dim, warm or
+/// cold; a replayed frame's is 0.
 struct StreamFrameStats {
   /// 0-based index of this frame within its stream.
   std::size_t frame_index = 0;
@@ -74,7 +76,7 @@ struct StreamFrameStats {
   /// Row bands in the frame's encode layout, the cold encode's bands.
   std::size_t tiles_total = 0;
   /// Bands whose pixel bytes were unchanged — dedup scan skipped, the
-  /// previous frame's table reused; their points are bound again.
+  /// previous frame's table reused; their points are coded again.
   std::size_t tiles_reused = 0;
   /// Bands re-encoded because their pixels changed.
   std::size_t tiles_encoded = 0;
@@ -99,7 +101,7 @@ class SegHdcSession {
  public:
   struct Options {
     /// Pool for every parallel loop the session issues (image sharding
-    /// in `segment_many`, encode bind pass, clustering). nullptr = the
+    /// in `segment_many`, encode point pass, clustering). nullptr = the
     /// process-wide shared pool. Outputs are identical for every pool.
     util::ThreadPool* pool = nullptr;
   };
@@ -167,7 +169,10 @@ class SegHdcSession {
   };
 
   /// Encodes every pixel of `image` (1 or 3 channels) into pixel HVs,
-  /// reusing the cached encoder state for the image's geometry.
+  /// reusing the cached encoder state for the image's geometry. Always
+  /// binds the dense rows (`unique_hvs`), and for flip-run configs also
+  /// carries the coded points (`coded`), which `cluster_and_finalize`
+  /// clusters; `segment()` codes without binding.
   EncodedImage encode(const img::ImageU8& image) const;
 
   /// Same, through a caller-owned arena (stage 1 of the serving
@@ -228,7 +233,7 @@ class SegHdcSession {
   ///   - Row bands whose pixel bytes are unchanged since the previous
   ///     frame (content hash + exact byte compare) reuse their cached
   ///     dedup table instead of scanning again. Their points are still
-  ///     bound from the encoder tables, so a warm frame's
+  ///     coded from the encoder tables, so a warm frame's
   ///     `ops.bind_xor_bits` is unique points x dim, as on a cold frame.
   ///   - A frame byte-identical to its predecessor replays the cached
   ///     previous result outright (bit-for-bit equal labels, zero
@@ -244,7 +249,8 @@ class SegHdcSession {
   /// ordered. Every config streams on the band tables: with dedup off a
   /// band's table holds one point per pixel, and fault injection runs
   /// over all the image's bound rows in global order, so reuse never
-  /// changes the injected faults.
+  /// changes the injected faults. Flip-run configs stream on coded
+  /// points end to end, warm seeds included.
   StreamFrameResult segment_stream(const img::ImageU8& frame,
                                    Stream& stream) const;
 
@@ -262,10 +268,13 @@ class SegHdcSession {
   /// (stream == nullptr) scan every row band; a stream's frames reuse
   /// the tables of the bands whose bytes are unchanged since the
   /// previous frame and rescan the rest. Every unique point is then
-  /// bound from the encoder tables. Output is bit-identical either way;
-  /// op counts reflect the work actually done.
+  /// coded (flip-run configs) and, when the config is not coded or
+  /// `bind_rows` asks for them, bound as a dense row from the encoder
+  /// tables. Output is bit-identical either way; op counts reflect the
+  /// work actually done.
   EncodedImage encode_impl(const img::ImageU8& image,
                            const EncoderState& state, EncodeScratch& scratch,
+                           bool bind_rows,
                            const StreamState* stream = nullptr) const;
   SegmentationResult segment_impl(const img::ImageU8& image,
                                   EncodeScratch& scratch) const;

@@ -102,6 +102,20 @@ void Accumulator::merge(const Accumulator& other) {
   total_weight_ += other.total_weight_;
 }
 
+void Accumulator::assign(std::span<const std::int64_t> counts,
+                         std::uint64_t total_weight) {
+  util::expects(counts.size() == counts_.size(),
+                "Accumulator::assign dimension mismatch");
+  Int128 sum_squares = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const Int128 x = counts[i];
+    sum_squares += x * x;
+    counts_[i] = counts[i];
+  }
+  sum_squares_ = sum_squares;
+  total_weight_ = total_weight;
+}
+
 void Accumulator::snapshot_planes(kernels::CountPlanes& out) const {
   out.build(counts_);
 }

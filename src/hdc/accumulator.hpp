@@ -67,6 +67,13 @@ class Accumulator {
   /// grouping with bit-identical results.
   void merge(const Accumulator& other);
 
+  /// Replaces the contents with `counts` (one per dimension) and
+  /// `total_weight`, recomputing the exact 128-bit sum of squares: the
+  /// result equals an accumulator that had the members behind those
+  /// counts added. The coded K-Means update rebuilds its centroids this
+  /// way from per-cluster difference arrays.
+  void assign(std::span<const std::int64_t> counts, std::uint64_t total_weight);
+
   /// Sum of the weights added, less those removed, since the last
   /// clear().
   std::uint64_t total_weight() const { return total_weight_; }

@@ -10,8 +10,10 @@
 // (3) `CountPlanes`, the bit-plane decomposition of an integer centroid
 // that turns the cosine dot into a handful of AND+popcount passes.
 // `SegHdc::encode` writes pixel HVs straight into an `HvBlock`, and
-// `HvKMeans` runs its assignment step over block rows; per-point
-// `HyperVector` temporaries never appear in either inner loop.
+// `HvKMeans`'s dense point model runs its assignment step over block
+// rows; per-point `HyperVector` temporaries never appear in either
+// inner loop. (Flip-run configs cluster interval-coded points instead,
+// src/hdc/coded_points.hpp, which need none of these kernels.)
 //
 // This layer is a thin forwarding veneer: the word crunching is done by
 // the runtime-dispatched backend subsystem in src/hdc/simd/ (scalar /

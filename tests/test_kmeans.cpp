@@ -264,6 +264,33 @@ TEST(HvKMeans, ParallelUpdateMatchesSequentialReference) {
   }
 }
 
+TEST(HvKMeans, MovedPerIterationRecordsEachUpdate) {
+  // One entry per iteration run: iteration 0 adds every point, and the
+  // later entries are the points whose cluster changed, read off the
+  // assignments of shorter runs. A run that stops on convergence ends
+  // on an iteration that moved nothing.
+  const auto data = make_moving_data();
+  HvKMeansConfig config{.clusters = 2, .iterations = 6};
+  const auto result = HvKMeans(config).run(data.points, {}, kMovingSeeds);
+  ASSERT_EQ(result.reseeds, 0u);
+  ASSERT_EQ(result.moved_per_iteration.size(), result.iterations_run);
+  EXPECT_EQ(result.moved_per_iteration[0], data.points.size());
+  const auto later = std::accumulate(result.moved_per_iteration.begin() + 1,
+                                     result.moved_per_iteration.end(),
+                                     std::uint64_t{0});
+  EXPECT_EQ(later,
+            moves_after_first_iteration(config, data.points, {}, kMovingSeeds));
+  EXPECT_GT(later, 0u);
+
+  config.iterations = 50;
+  config.stop_on_convergence = true;
+  const auto converged = HvKMeans(config).run(data.points, {}, kMovingSeeds);
+  ASSERT_TRUE(converged.converged);
+  ASSERT_EQ(converged.moved_per_iteration.size(), converged.iterations_run);
+  EXPECT_EQ(converged.moved_per_iteration.front(), data.points.size());
+  EXPECT_EQ(converged.moved_per_iteration.back(), 0u);
+}
+
 /// Seven heavily overlapping families (a third of the bits flipped) with
 /// weights 1-1000, seeded from members of only four of them: points
 /// keep moving for several iterations, in and out of every cluster.

@@ -487,8 +487,12 @@ img::ImageU8 golden_rgb_card(std::size_t width, std::size_t height) {
 
 constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
 
-std::uint64_t golden_batch_hash(std::size_t threads,
-                                std::size_t tile_rows) {
+/// The golden batch's chained label hash, through `segment_many` (whose
+/// workers run each image's loops serially) or, with `one_by_one`,
+/// image by image through `segment()`, whose band scan, point coding,
+/// K-Means assign blocks and update chunks fan out across the pool.
+std::uint64_t golden_batch_hash(std::size_t threads, std::size_t tile_rows,
+                                bool one_by_one = false) {
   std::vector<img::ImageU8> images;
   images.push_back(golden_gray_card(32, 30, 200));
   images.push_back(golden_rgb_card(36, 28));
@@ -503,9 +507,14 @@ std::uint64_t golden_batch_hash(std::size_t threads,
   util::ThreadPool pool(threads);
   const core::SegHdcSession session(config,
                                     core::SegHdcSession::Options{&pool});
-  const auto results = session.segment_many(images);
   std::uint64_t hash = 14695981039346656037ULL;
-  for (const auto& result : results) {
+  if (one_by_one) {
+    for (const auto& image : images) {
+      hash = metrics::label_map_hash(session.segment(image).labels, hash);
+    }
+    return hash;
+  }
+  for (const auto& result : session.segment_many(images)) {
     hash = metrics::label_map_hash(result.labels, hash);
   }
   return hash;
@@ -522,6 +531,15 @@ TEST(TiledEncode, GoldenBatchHashStableAcrossTilesPoolsAndBackends) {
       for (const std::size_t tile_rows : {1u, 3u, 0u}) {  // 0 = default
         EXPECT_EQ(golden_batch_hash(threads, tile_rows), kGoldenBatchHash)
             << "hash drifted: backend=" << backend->name
+            << " threads=" << threads << " tile_rows=" << tile_rows;
+      }
+    }
+    // segment() one image at a time, each image's loops in parallel.
+    for (const std::size_t threads : {2u, 4u}) {
+      for (const std::size_t tile_rows : {1u, 3u, 0u}) {
+        EXPECT_EQ(golden_batch_hash(threads, tile_rows, /*one_by_one=*/true),
+                  kGoldenBatchHash)
+            << "hash drifted through segment(): backend=" << backend->name
             << " threads=" << threads << " tile_rows=" << tile_rows;
       }
     }
