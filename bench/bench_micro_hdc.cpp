@@ -1,13 +1,13 @@
 // google-benchmark micro benches for the HDC substrate and the SegHDC
 // pipeline stages — the op-level costs underlying the Table II model.
 //
-//   ./bench_micro_hdc [--backend scalar|harley-seal|avx2|neon|auto]
+//   ./bench_micro_hdc [--backend scalar|avx2|neon|auto]
 //                     [google-benchmark flags...]
 //
 // On top of the dispatched-path benches below, a per-backend sweep
 // (BM_HammingBackend/<name>, BM_CosinePlanesBackend/<name>) is
 // registered for every backend available on this CPU, so one run
-// compares scalar vs harley-seal vs AVX2/NEON side by side. --backend
+// compares scalar vs AVX2/NEON side by side. --backend
 // additionally forces the process-wide dispatch (what the BM_*Fused*
 // benches and the pipeline benches run on); the report header records
 // the selection and the CPU features either way.

@@ -174,7 +174,7 @@ struct SegHdcConfig {
   /// SIMD kernel-backend override (src/hdc/simd/): "" leaves the
   /// process-wide selection alone (SEGHDC_KERNEL_BACKEND environment
   /// variable, else automatic CPU detection); otherwise a registered
-  /// backend name ("scalar", "harley-seal", "avx2", "neon") or "auto"
+  /// backend name ("scalar", "avx2", "neon") or "auto"
   /// to re-run detection. Applied when a session/pipeline is
   /// constructed; every backend yields bit-identical labels, so this is
   /// a performance knob, never a semantics knob.

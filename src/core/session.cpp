@@ -92,19 +92,6 @@ std::size_t band_rows_for(std::size_t tile_rows,
   return std::min(height, ((rows - 1) / block + 1) * block);
 }
 
-/// FNV-1a over raw bytes: the fast "did this band change?" check for the
-/// stream path. Never trusted alone — a hash hit is confirmed with an
-/// exact byte compare before any cache reuse (collisions must not be
-/// able to corrupt labels).
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t count) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < count; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 /// True when every pixel HV of `config` is a fixed base XOR flip runs:
 /// the position ladders flip runs unless they are kRandom, the colour
 /// ladder flips prefixes of its channel slices, and no bit error is
@@ -176,10 +163,10 @@ struct SegHdcSession::EncodeScratch {
   /// local dedup table and, per local unique point, its first-occurrence
   /// ref and pixel weight. No dedup key is in two bands, so the band's
   /// points are global IDs offset + local. A stream's bands also keep
-  /// what skipping their scan takes: the band's pixel-byte hash and its
-  /// per-pixel local ids. The table is a pure function of the band's
-  /// bytes, so an unchanged band's table IS its rescan, bit for bit; its
-  /// rows are bound again like any other band's.
+  /// what skipping their scan takes: their per-pixel local ids. The
+  /// table is a pure function of the band's bytes, so an unchanged
+  /// band's table IS its rescan, bit for bit; its rows are bound again
+  /// like any other band's.
   struct Band {
     std::unordered_map<std::uint64_t, std::uint32_t> key_to_local;
     std::vector<UniqueRef> refs;
@@ -189,8 +176,7 @@ struct SegHdcSession::EncodeScratch {
     /// This encode took the band from its stream cache instead of
     /// scanning it (always false on a cold encode).
     bool reused = false;
-    // The stream cache, untouched by cold encodes:
-    std::uint64_t hash = 0;
+    // The stream cache, untouched by cold encodes.
     /// False until the band's table is fully rebuilt (a throw mid-scan
     /// must not leave a half-table eligible for reuse).
     bool valid = false;
@@ -328,12 +314,6 @@ EncodedImage SegHdcSession::encode(const img::ImageU8& image,
                      /*bind_rows=*/true);
 }
 
-SegmentationResult SegHdcSession::segment(const img::ImageU8& image,
-                                          Scratch& scratch) const {
-  validate_image(image);
-  return segment_impl(image, *scratch.impl_);
-}
-
 SegmentationResult SegHdcSession::cluster_and_finalize(
     EncodedImage&& encoded) const {
   util::expects(encoded.width > 0 && encoded.height > 0,
@@ -395,8 +375,9 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
   // cache. With dedup off every pixel is its own point (keyed, in
   // effect, by its pixel index, which never repeats), so no key is
   // built and the table is skipped. On a stream, a band whose bytes are
-  // unchanged since the previous frame (hash hit confirmed by an exact
-  // byte compare) is reused from its cache instead of scanned. ---
+  // unchanged since the previous frame is reused from its cache instead
+  // of scanned; an exact byte compare decides, stopping at the first
+  // differing byte. ---
   pool().parallel_for(
       0, band_count,
       [&](std::size_t t) {
@@ -412,16 +393,14 @@ EncodedImage SegHdcSession::encode_impl(const img::ImageU8& image,
           const std::size_t byte_begin = y_begin * width * channels;
           const std::size_t byte_count = band_pixels * channels;
           const std::uint8_t* bytes = image.data() + byte_begin;
-          const std::uint64_t hash = fnv1a_bytes(bytes, byte_count);
           band.reused =
-              band.valid && stream->has_prev && band.hash == hash &&
+              band.valid && stream->has_prev &&
               std::memcmp(bytes, stream->prev_frame.data() + byte_begin,
                           byte_count) == 0;
           span.arg("reused", band.reused ? 1 : 0);
           if (band.reused) {
             return;
           }
-          band.hash = hash;
           band.valid = false;  // until the scan below completes
           band.local_ids.resize(band_pixels);
           local_ids = band.local_ids.data();

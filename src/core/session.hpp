@@ -119,11 +119,11 @@ class SegHdcSession {
 
   /// Opaque reusable encode arena for external pipeline drivers (the
   /// serving layer in src/serve/): one per worker thread, passed to the
-  /// `encode`/`segment` overloads below, it keeps the band dedup tables'
-  /// capacity and the unique-ratio reserve hint warm across that
-  /// worker's images without contending on the session-owned shared
-  /// scratch. Movable, not copyable; NOT safe to share between
-  /// concurrent calls. A default-constructed Scratch is cold but valid.
+  /// `encode` overload below, it keeps the band dedup tables' capacity
+  /// and the unique-ratio reserve hint warm across that worker's images
+  /// without contending on the session-owned shared scratch. Movable,
+  /// not copyable; NOT safe to share between concurrent calls. A
+  /// default-constructed Scratch is cold but valid.
   class Scratch {
    public:
     Scratch();
@@ -194,11 +194,6 @@ class SegHdcSession {
   /// `SegHdc::segment` with the same config.
   SegmentationResult segment(const img::ImageU8& image) const;
 
-  /// Full pipeline through a caller-owned arena; same guarantees as the
-  /// Scratch `encode` overload.
-  SegmentationResult segment(const img::ImageU8& image,
-                             Scratch& scratch) const;
-
   /// Segments a batch: images are sharded across the pool, one worker
   /// per pool thread, each with its own scratch arena; the per-image
   /// inner loops run serially on their worker. results[i] is exactly
@@ -231,10 +226,10 @@ class SegHdcSession {
   ///     stops on convergence, so near-identical frames converge in a
   ///     fraction of the iteration budget.
   ///   - Row bands whose pixel bytes are unchanged since the previous
-  ///     frame (content hash + exact byte compare) reuse their cached
-  ///     dedup table instead of scanning again. Their points are still
-  ///     coded from the encoder tables, so a warm frame's
-  ///     `ops.bind_xor_bits` is unique points x dim, as on a cold frame.
+  ///     frame (exact byte compare) reuse their cached dedup table
+  ///     instead of scanning again. Their points are still coded from
+  ///     the encoder tables, so a warm frame's `ops.bind_xor_bits` is
+  ///     unique points x dim, as on a cold frame.
   ///   - A frame byte-identical to its predecessor replays the cached
   ///     previous result outright (bit-for-bit equal labels, zero
   ///     pipeline work, all op counts 0).

@@ -17,8 +17,8 @@
 //
 // This layer is a thin forwarding veneer: the word crunching is done by
 // the runtime-dispatched backend subsystem in src/hdc/simd/ (scalar /
-// Harley-Seal / AVX2 / NEON, selected per CPU at startup and
-// overridable via SEGHDC_KERNEL_BACKEND). Call sites keep these
+// AVX2 / NEON, selected per CPU at startup and overridable via
+// SEGHDC_KERNEL_BACKEND). Call sites keep these
 // signatures; every backend produces bit-identical integers.
 //
 // Invariants mirror `HyperVector`: bits are little-endian within each

@@ -2,26 +2,25 @@
 //
 // Every inner loop of the pipeline — XOR binding, Hamming distance,
 // masked popcounts for the word-blocked cosine — funnels through one
-// `KernelBackend`: a vtable of word-span kernels. Several backends are
-// compiled into every binary:
+// `KernelBackend`: a vtable of word-span kernels. Every binary compiles
+// in the backends its architecture can run:
 //
-//   scalar       one std::popcount per word — the reference everything
-//                else must match bit for bit
-//   harley-seal  carry-save-adder popcount over 16-word blocks; portable,
-//                ~3-5x fewer popcount reductions than scalar
-//   avx2         256-bit vpshufb nibble-LUT popcount (x86-64 only,
-//                compiled per-TU with target("avx2") attributes and
-//                registered only when cpuid reports AVX2)
-//   neon         128-bit vcnt popcount (aarch64 only)
+//   scalar  one std::popcount per word — the reference everything else
+//           must match bit for bit, and the fallback on CPUs with
+//           neither AVX2 nor NEON
+//   avx2    256-bit vpshufb nibble-LUT popcount (x86-64 only, compiled
+//           per-TU with target("avx2") attributes and registered only
+//           when cpuid reports AVX2)
+//   neon    128-bit vcnt popcount (aarch64 only)
 //
 // Selection is automatic at first use: the highest-priority backend
 // whose `available()` probe passes, overridable per process via the
-// SEGHDC_KERNEL_BACKEND environment variable ("scalar", "harley-seal",
-// "avx2", "neon", or "auto") and per config via
-// SegHdcConfig::kernel_backend. All backends produce bit-identical
-// results — the property suite in tests/test_simd_backends.cpp runs
-// every registered backend against the scalar reference, and the golden
-// label hashes must not move under any of them.
+// SEGHDC_KERNEL_BACKEND environment variable ("scalar", "avx2", "neon",
+// or "auto") and per config via SegHdcConfig::kernel_backend. All
+// backends produce bit-identical results — the property suite in
+// tests/test_simd_backends.cpp runs every registered backend against
+// the scalar reference, and the golden label hashes must not move under
+// any of them.
 //
 // To add a backend: write src/hdc/simd/backend_<name>.cpp defining a
 // `const KernelBackend* <name>_backend()` accessor (return nullptr when

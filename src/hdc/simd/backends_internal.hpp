@@ -17,9 +17,6 @@ namespace seghdc::hdc::simd {
 /// The scalar reference backend; always available.
 const KernelBackend* scalar_backend();
 
-/// The portable unrolled Harley-Seal popcount backend; always available.
-const KernelBackend* harley_seal_backend();
-
 /// The AVX2 backend, or nullptr when this binary targets a non-x86-64
 /// architecture. Registered with a cpuid `available()` probe.
 const KernelBackend* avx2_backend();

@@ -26,8 +26,7 @@ const std::vector<const KernelBackend*>& registry() {
   static const std::vector<const KernelBackend*> backends = [] {
     std::vector<const KernelBackend*> list;
     for (const KernelBackend* backend :
-         {scalar_backend(), harley_seal_backend(), avx2_backend(),
-          neon_backend()}) {
+         {scalar_backend(), avx2_backend(), neon_backend()}) {
       if (backend != nullptr) {
         list.push_back(backend);
       }

@@ -1,16 +1,12 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "src/util/contracts.hpp"
-#include "src/util/logging.hpp"
 
 namespace seghdc::obs {
 
@@ -243,73 +239,6 @@ std::string MetricsRegistry::render() const {
     }
   }
   return out.str();
-}
-
-std::string MetricsRegistry::render_dashboard() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::ostringstream out;
-  out << "metrics:";
-  for (const auto& entry : entries_) {
-    out << " " << labeled(entry->name, entry->labels) << "=";
-    switch (entry->kind) {
-      case Kind::kCounter:
-        out << entry->counter->value();
-        break;
-      case Kind::kGauge:
-        out << entry->gauge->value();
-        break;
-      case Kind::kHistogram: {
-        const LatencyPercentiles p = entry->histogram->percentiles();
-        out << "[n=" << p.count << " p50=" << format_double(p.p50_seconds * 1e3)
-            << "ms p99=" << format_double(p.p99_seconds * 1e3) << "ms]";
-        break;
-      }
-    }
-  }
-  return out.str();
-}
-
-struct Dashboard::Impl {
-  const MetricsRegistry& registry;
-  double interval_seconds;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool stop = false;
-  std::thread thread;
-
-  Impl(const MetricsRegistry& reg, double interval)
-      : registry(reg), interval_seconds(interval) {
-    thread = std::thread([this] { loop(); });
-  }
-
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      const auto interval = std::chrono::duration<double>(interval_seconds);
-      if (cv.wait_for(lock, interval, [this] { return stop; })) {
-        return;
-      }
-      lock.unlock();
-      util::log(util::LogLevel::kInfo, registry.render_dashboard());
-      lock.lock();
-    }
-  }
-};
-
-Dashboard::Dashboard(const MetricsRegistry& registry,
-                     double interval_seconds) {
-  util::expects(interval_seconds > 0.0,
-                "Dashboard interval_seconds must be > 0");
-  impl_ = std::make_unique<Impl>(registry, interval_seconds);
-}
-
-Dashboard::~Dashboard() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->cv.notify_all();
-  impl_->thread.join();
 }
 
 }  // namespace seghdc::obs

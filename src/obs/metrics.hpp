@@ -1,8 +1,8 @@
 // MetricsRegistry: named counters, gauges, and histograms for the
-// serving stack, with Prometheus-text rendering and a periodic stderr
-// dashboard. The serving layers (SegHdcServer, SegHdcFleet) register
-// their counters here and read snapshots back out, so ServerStats /
-// FleetStats are views over the registry, not parallel bookkeeping.
+// serving stack, with Prometheus-text rendering. The serving layers
+// (SegHdcServer, SegHdcFleet) register their counters here and read
+// snapshots back out, so ServerStats / FleetStats are views over the
+// registry, not parallel bookkeeping.
 //
 //   obs::MetricsRegistry metrics;
 //   obs::Counter& served = metrics.counter("seghdc_served_total");
@@ -75,7 +75,7 @@ class LatencyRecorder {
   void record(double seconds);
 
   /// Snapshot of the current percentiles (sorts a copy of the window;
-  /// O(window log window), intended for dashboards and tests, not per
+  /// O(window log window), intended for stats views and tests, not per
   /// request).
   LatencyPercentiles snapshot() const;
 
@@ -169,10 +169,6 @@ class MetricsRegistry {
   /// _count.
   std::string render() const;
 
-  /// One compact human line per metric — the periodic stderr dashboard
-  /// body (histograms show count and window p50/p99 in milliseconds).
-  std::string render_dashboard() const;
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {
@@ -191,23 +187,6 @@ class MetricsRegistry {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Entry>> entries_;  ///< registration order
-};
-
-/// Periodic stderr dashboard: a background thread that logs
-/// `registry.render_dashboard()` through util::log every
-/// `interval_seconds` until destruction. Purely informational — uses
-/// the (thread-safe) logger, never touches the pipeline.
-class Dashboard {
- public:
-  Dashboard(const MetricsRegistry& registry, double interval_seconds);
-  ~Dashboard();
-
-  Dashboard(const Dashboard&) = delete;
-  Dashboard& operator=(const Dashboard&) = delete;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace seghdc::obs

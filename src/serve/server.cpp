@@ -73,7 +73,7 @@ SegHdcServer::SegHdcServer(const core::SegHdcConfig& config,
       submitted_(metrics_.counter("seghdc_requests_submitted_total",
                                   "Requests accepted into the submit queue")),
       completed_(metrics_.counter("seghdc_requests_completed_total",
-                                  "Results delivered (future or sink set)")),
+                                  "Results delivered (future set)")),
       rejected_(metrics_.counter("seghdc_requests_rejected_total",
                                  "Requests refused by kReject backpressure")),
       cancelled_(metrics_.counter("seghdc_requests_cancelled_total",
@@ -124,9 +124,7 @@ SegHdcServer::~SegHdcServer() { shutdown(ShutdownMode::kDrain); }
 
 std::future<core::SegmentationResult> SegHdcServer::submit(
     img::ImageU8 image) {
-  Completion completion;
-  completion.use_promise = true;
-  return enqueue(std::move(image), std::move(completion));
+  return enqueue(std::move(image), Completion{});
 }
 
 void SegHdcServer::submit(img::ImageU8 image,
@@ -134,23 +132,10 @@ void SegHdcServer::submit(img::ImageU8 image,
                           std::function<void()> on_done,
                           util::Stopwatch accepted) {
   Completion completion;
-  completion.use_promise = true;
   completion.promise = std::move(promise);
   completion.on_done = std::move(on_done);
   completion.future_taken = true;
   completion.accepted = accepted;
-  enqueue(std::move(image), std::move(completion));
-}
-
-void SegHdcServer::submit(
-    img::ImageU8 image,
-    std::function<void(core::SegmentationResult&&)> sink) {
-  if (!sink) {
-    throw std::invalid_argument("SegHdcServer::submit sink must be callable");
-  }
-  Completion completion;
-  completion.use_promise = false;
-  completion.sink = std::move(sink);
   enqueue(std::move(image), std::move(completion));
 }
 
@@ -199,7 +184,7 @@ std::future<core::StreamFrameResult> SegHdcServer::submit(
 std::future<core::SegmentationResult> SegHdcServer::enqueue(
     img::ImageU8&& image, Completion&& completion) {
   std::future<core::SegmentationResult> future;
-  if (completion.use_promise && !completion.future_taken) {
+  if (!completion.future_taken) {
     future = completion.promise.get_future();
   }
   completion.trace_id =
@@ -237,36 +222,19 @@ void SegHdcServer::deliver(Completion&& completion,
   if (completion.on_done) {
     completion.on_done();
   }
-  if (completion.use_promise) {
-    completion.promise.set_value(std::move(result));
-  } else {
-    // Serialised like the segment_many sink, so a user callback shared
-    // across requests needs no locking of its own. A throwing sink is a
-    // contract violation (sinks are success-only, documented noexcept-
-    // in-spirit); contain it here so it cannot double-count the request
-    // as failed or kill the stage thread.
-    try {
-      const std::lock_guard<std::mutex> lock(sink_mutex_);
-      completion.sink(std::move(result));
-    } catch (...) {
-    }
-  }
+  completion.promise.set_value(std::move(result));
 }
 
 void SegHdcServer::fail(Completion&& completion, std::exception_ptr error,
                         obs::Counter& counter) {
   counter.add();
-  // Callback sinks are success-only by contract; a failed or cancelled
-  // sink request is dropped. The fleet's on_done hook fires on every
-  // outcome, though — quota slots must come back even for failures —
-  // and before the promise, so a caller unblocked by the exception
-  // already finds the books settled.
+  // The fleet's on_done hook fires on every outcome — quota slots must
+  // come back even for failures — and before the promise, so a caller
+  // unblocked by the exception already finds the books settled.
   if (completion.on_done) {
     completion.on_done();
   }
-  if (completion.use_promise) {
-    completion.promise.set_exception(std::move(error));
-  }
+  completion.promise.set_exception(std::move(error));
 }
 
 void SegHdcServer::encode_loop() {

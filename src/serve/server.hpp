@@ -12,8 +12,8 @@
 //
 //   submit ──> [bounded MPMC queue] ──> encode stage ──> [encoded queue]
 //                (backpressure)          workers             (bounded)
-//                                                      ──> cluster stage ──> future /
-//                                                           workers           sink
+//                                                      ──> cluster stage ──> future
+//                                                           workers
 //
 // The two stages run on dedicated threads, so the encode of one image
 // overlaps the clustering of another; inside a stage the session fans
@@ -163,17 +163,6 @@ class SegHdcServer {
               std::promise<core::SegmentationResult> promise,
               std::function<void()> on_done, util::Stopwatch accepted);
 
-  /// Callback form: `sink` is invoked exactly once with the result when
-  /// the request completes successfully; it is dropped (never invoked)
-  /// if the request is cancelled or a stage throws — use the future form
-  /// when failures must be observed. Sink invocations are serialised
-  /// across requests but run on cluster-stage threads; keep them short
-  /// or the pipeline stalls. Sinks must not throw: an exception escaping
-  /// the sink is swallowed by the server (the request still counts as
-  /// completed).
-  void submit(img::ImageU8 image,
-              std::function<void(core::SegmentationResult&&)> sink);
-
   /// A temporal stream registered with this server (see open_stream).
   /// Cheap handle over shared state: copying it refers to the SAME
   /// stream; destroying every copy while frames are in flight is safe
@@ -236,15 +225,12 @@ class SegHdcServer {
   const core::SegHdcSession& session() const { return session_; }
 
  private:
-  /// How a finished request reports back: exactly one of `promise`
-  /// (future form) or `sink` (callback form) is armed. `on_done`, when
-  /// set, fires after either outcome path (the fleet's quota-release
-  /// hook).
+  /// How a finished request reports back: through its `promise`, after
+  /// `on_done` (the fleet's quota-release hook), when set, has fired on
+  /// either outcome path.
   struct Completion {
     std::promise<core::SegmentationResult> promise;
-    std::function<void(core::SegmentationResult&&)> sink;
     std::function<void()> on_done;
-    bool use_promise = true;
     /// The fleet hook hands over a promise whose future the fleet
     /// already retrieved at admission; enqueue must not get_future again.
     bool future_taken = false;
@@ -335,7 +321,6 @@ class SegHdcServer {
   /// Per-request trace ids (span correlation only, no semantics).
   std::atomic<std::uint64_t> next_trace_id_{0};
 
-  std::mutex sink_mutex_;      ///< serialises callback-sink invocations
   std::mutex shutdown_mutex_;  ///< one thread performs the join
   bool threads_joined_ = false;
 };

@@ -42,7 +42,7 @@ struct StreamServingStats {
 /// them together, so transient sums may be off by in-transit requests.
 struct ServerStats {
   std::uint64_t submitted = 0;  ///< requests accepted into the queue
-  std::uint64_t completed = 0;  ///< results delivered (future/sink set)
+  std::uint64_t completed = 0;  ///< results delivered (future set)
   std::uint64_t rejected = 0;   ///< refused by the kReject backpressure
   std::uint64_t cancelled = 0;  ///< failed by shutdown(kCancel)
   std::uint64_t failed = 0;     ///< stage threw (bad image, OOM, ...)

@@ -5,9 +5,9 @@
 //     at every pool size {1, 2, 4}, under both K-Means assignment
 //     modes, at wave sizes that force multiple batches — the invariant
 //     that makes serving-path accuracy numbers trustworthy.
-//   - Golden pins: the eval fingerprint over the exact golden batch of
-//     test_session.cpp reproduces 13206585988845182882, and an extended
-//     5-card suite pins its own golden eval hash.
+//   - Golden pins: the eval fingerprint over the golden batch
+//     (tests/golden_fixture.hpp) reproduces 13206585988845182882, and an
+//     extended 5-card suite pins its own golden eval hash.
 //   - Serving reality: evaluation through an EXTERNAL server stays
 //     identical while temporal streams are active on the same server,
 //     a capacity-1 queue (forced backpressure) changes nothing, and a
@@ -34,10 +34,12 @@
 #include "src/metrics/segmentation_metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
+using namespace seghdc::golden;
 
 std::uint64_t test_seed() {
   const char* env = std::getenv("SEGHDC_TEST_SEED");
@@ -45,54 +47,6 @@ std::uint64_t test_seed() {
     return 42;
   }
   return std::strtoull(env, nullptr, 10);
-}
-
-std::size_t test_queue_capacity() {
-  const char* env = std::getenv("SEGHDC_TEST_QUEUE_CAP");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || *end != '\0') {
-    throw std::invalid_argument(
-        std::string("SEGHDC_TEST_QUEUE_CAP must be a non-negative "
-                    "integer, got '") +
-        env + "'");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-// Same synthetic cards as test_session.cpp so the golden constant is
-// shared verbatim between the session tests and the eval pipeline.
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
 }
 
 /// Centered-rectangle ground truth: enough structure for
@@ -140,33 +94,15 @@ class CardDataset final : public data::DatasetGenerator {
   data::DatasetProfile profile_;
 };
 
-/// The exact golden batch of test_session.cpp, in the exact order.
-CardDataset golden_dataset() {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-  return CardDataset(std::move(images));
-}
+/// The exact golden batch, in the exact order.
+CardDataset golden_dataset() { return CardDataset(golden_batch()); }
 
 /// Golden batch plus two more cards: the eval pipeline's own suite.
 CardDataset extended_dataset() {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
+  std::vector<img::ImageU8> images = golden_batch();
   images.push_back(make_gray_card(28, 60, 160));
   images.push_back(make_rgb_card(30, 24));
   return CardDataset(std::move(images));
-}
-
-core::SegHdcConfig golden_config() {
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
-  return config;
 }
 
 core::SegHdcConfig base_config() {
@@ -195,13 +131,12 @@ void expect_suites_identical(const eval::SuiteResult& actual,
 // Golden pins.
 // ---------------------------------------------------------------------
 
-// DO NOT casually update these constants. The suite fingerprint chains
+// DO NOT casually update this constant. The suite fingerprint chains
 // metrics::label_map_hash over the per-image label maps in sample
 // order, seeded with the FNV-1a offset basis — the same computation the
-// golden-batch tests in test_session.cpp pin, so the first constant is
-// shared with them verbatim. Rerecord only after confirming an intended
-// pipeline change (and update test_session.cpp in the same commit).
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
+// golden-batch tests pin, so the golden batch's fingerprint is
+// kGoldenBatchHash (tests/golden_fixture.hpp). Rerecord only after
+// confirming an intended pipeline change.
 constexpr std::uint64_t kGoldenEvalHash = 256417817128784446ULL;
 
 TEST(EvalPipeline, GoldenBatchHashReproducedThroughEveryPath) {

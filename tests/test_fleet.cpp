@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -22,90 +21,16 @@
 #include <vector>
 
 #include "src/core/config.hpp"
-#include "src/metrics/segmentation_metrics.hpp"
 #include "src/serve/fleet.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/admission_gate.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
-
-std::size_t test_queue_capacity() {
-  const char* env = std::getenv("SEGHDC_TEST_QUEUE_CAP");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || *end != '\0') {
-    throw std::invalid_argument(
-        std::string("SEGHDC_TEST_QUEUE_CAP must be a non-negative "
-                    "integer, got '") +
-        env + "'");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-/// The exact batch + config of SegHdcSession.SegmentManyGoldenLabelHash.
-std::vector<img::ImageU8> golden_batch() {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-  return images;
-}
-
-core::SegHdcConfig golden_config() {
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
-  return config;
-}
-
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
-
-std::uint64_t results_hash(
-    const std::vector<core::SegmentationResult>& results) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const auto& result : results) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  return hash;
-}
+using namespace seghdc::golden;
 
 /// A tenant other than the golden one: different dim/seed/iterations so
 /// cross-tenant contamination cannot hash-collide by accident.

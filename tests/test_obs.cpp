@@ -21,10 +21,12 @@
 #include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
+using namespace seghdc::golden;
 
 // ---------------------------------------------------------------------
 // Tracer + SpanScope
@@ -288,73 +290,11 @@ TEST(Metrics, HistogramConcurrentRecord) {
   EXPECT_EQ(h.cumulative_buckets()[obs::Histogram::kBucketCount], 8000u);
 }
 
-TEST(Metrics, DashboardEmitsThroughTheLogger) {
-  obs::MetricsRegistry registry;
-  registry.counter("seghdc_test_beat_total").add(9);
-  EXPECT_THROW(obs::Dashboard(registry, 0.0), std::invalid_argument);
-  testing::internal::CaptureStderr();
-  {
-    const obs::Dashboard dashboard(registry, 0.005);
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  const std::string captured = testing::internal::GetCapturedStderr();
-  EXPECT_NE(captured.find("metrics: seghdc_test_beat_total=9"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------
-// Determinism gates + server registry wiring (the golden recipes are
-// the ones test_session/test_stream pin; fixed seed on purpose).
+// Determinism gates + server registry wiring (the golden batch is
+// tests/golden_fixture.hpp's, the stream recipe the one test_stream
+// pins; fixed seed on purpose).
 
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-std::vector<img::ImageU8> golden_batch() {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-  return images;
-}
-
-core::SegHdcConfig golden_config() {
-  core::SegHdcConfig config;
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
-  return config;
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
 constexpr std::uint64_t kGoldenStreamHash = 6522647722573592175ULL;
 
 img::ImageU8 scene_background(std::size_t width, std::size_t height) {
@@ -389,11 +329,7 @@ TEST(TraceDeterminism, GoldenBatchHashUnchangedWithTracingOn) {
   const core::SegHdcSession session(config,
                                     core::SegHdcSession::Options{&pool});
   const auto results = session.segment_many(golden_batch());
-  std::uint64_t hash = kFnvOffset;
-  for (const auto& result : results) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  EXPECT_EQ(hash, kGoldenBatchHash)
+  EXPECT_EQ(results_hash(results), kGoldenBatchHash)
       << "tracing perturbed the batch pipeline";
   // One direct segment() too: the single-image path tiles its encode
   // (segment_many serialises workers to one band), so this is what
@@ -437,7 +373,7 @@ TEST(TraceDeterminism, GoldenStreamHashUnchangedWithTracingOn) {
   frames.push_back(scene_with_square(32, 30, 9, 20));
   frames.push_back(scene_with_square(32, 30, 9, 20));  // replay
   frames.push_back(scene_background(32, 30));
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kLabelHashBasis;
   for (const auto& frame : frames) {
     const auto warm = session.segment_stream(frame, stream);
     hash = metrics::label_map_hash(warm.result.labels, hash);
@@ -465,7 +401,7 @@ TEST(ServerMetrics, ServedBatchShowsUpInTheRegistry) {
   for (const auto& image : images) {
     futures.push_back(server.submit(image));
   }
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = kLabelHashBasis;
   for (auto& future : futures) {
     hash = metrics::label_map_hash(future.get().labels, hash);
   }

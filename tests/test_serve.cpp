@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <future>
 #include <numeric>
 #include <stdexcept>
@@ -25,94 +24,16 @@
 #include <vector>
 
 #include "src/core/session.hpp"
-#include "src/metrics/segmentation_metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/serve/stats.hpp"
 #include "src/util/bounded_queue.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
-
-std::size_t test_queue_capacity() {
-  const char* env = std::getenv("SEGHDC_TEST_QUEUE_CAP");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  // Hard error on junk, like every other forced knob (SEGHDC_ASSIGN_MODE,
-  // SEGHDC_KERNEL_BACKEND): a typo'd CI env that silently meant
-  // "unbounded" would turn the forced-backpressure job into a no-op.
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || *end != '\0') {
-    throw std::invalid_argument(
-        std::string("SEGHDC_TEST_QUEUE_CAP must be a non-negative "
-                    "integer, got '") +
-        env + "'");
-  }
-  return static_cast<std::size_t>(value);
-}
-
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-/// The exact batch + config of SegHdcSession.SegmentManyGoldenLabelHash:
-/// the server must reproduce its combined hash bit for bit.
-std::vector<img::ImageU8> golden_batch() {
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-  return images;
-}
-
-core::SegHdcConfig golden_config() {
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
-  return config;
-}
-
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
-
-std::uint64_t results_hash(
-    const std::vector<core::SegmentationResult>& results) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const auto& result : results) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  return hash;
-}
+using namespace seghdc::golden;
 
 /// Submits `images` in order and collects the results back into submit
 /// order through the futures — completion order is the pipeline's
@@ -400,37 +321,6 @@ TEST(SegHdcServer, ResultsMatchSynchronousPathPerIndex) {
   }
 }
 
-TEST(SegHdcServer, SinkOverloadDeliversEveryResultExactlyOnce) {
-  const auto images = golden_batch();
-  const auto config = golden_config();
-  const core::SegHdcSession reference(config);
-
-  util::ThreadPool pool(2);
-  serve::ServerOptions options;
-  options.queue_capacity = test_queue_capacity();
-  options.encode_workers = 2;
-  options.cluster_workers = 2;
-  options.pool = &pool;
-  std::vector<core::SegmentationResult> delivered(images.size());
-  std::vector<std::atomic<int>> calls(images.size());
-  {
-    serve::SegHdcServer server(config, options);
-    for (std::size_t i = 0; i < images.size(); ++i) {
-      server.submit(images[i],
-                    [&delivered, &calls, i](core::SegmentationResult&& r) {
-                      delivered[i] = std::move(r);
-                      calls[i].fetch_add(1);
-                    });
-    }
-    server.shutdown(serve::ShutdownMode::kDrain);
-  }
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    SCOPED_TRACE("image " + std::to_string(i));
-    EXPECT_EQ(calls[i].load(), 1);
-    expect_results_identical(reference.segment(images[i]), delivered[i]);
-  }
-}
-
 // --- Determinism under forced contention: a tiny queue, more workers
 // than queue slots, repeated runs — the hash must never move. ---
 
@@ -706,8 +596,6 @@ TEST(SegHdcSession, StageSplitMatchesFusedSegment) {
     auto split_again =
         session.cluster_and_finalize(session.encode(*image, scratch));
     expect_results_identical(fused, split_again);
-    // And the scratch-based fused overload matches too.
-    expect_results_identical(fused, session.segment(*image, scratch));
   }
 }
 

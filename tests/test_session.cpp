@@ -21,10 +21,12 @@
 #include "src/metrics/segmentation_metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
+using namespace seghdc::golden;
 
 std::uint64_t test_seed() {
   const char* env = std::getenv("SEGHDC_TEST_SEED");
@@ -32,37 +34,6 @@ std::uint64_t test_seed() {
     return 42;
   }
   return std::strtoull(env, nullptr, 10);
-}
-
-img::ImageU8 make_gray_card(std::size_t size, std::uint8_t bg,
-                            std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  // A faint gradient stripe so dedup sees many distinct colors.
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 make_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
 }
 
 void expect_ops_equal(const core::OpCounts& a, const core::OpCounts& b) {
@@ -239,26 +210,11 @@ TEST(SegHdcSession, SegmentManyGoldenLabelHash) {
   // Golden regression for the batched path: a fixed batch through a
   // fixed config must keep hashing to the exact same combined label-map
   // value. Rerecord only after confirming an intended pipeline change.
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
   util::ThreadPool pool(3);
-  const core::SegHdcSession session(config,
+  const core::SegHdcSession session(golden_config(),
                                     core::SegHdcSession::Options{&pool});
-  const auto results = session.segment_many(images);
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const auto& result : results) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  static constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
-  EXPECT_EQ(hash, kGoldenBatchHash)
+  const auto results = session.segment_many(golden_batch());
+  EXPECT_EQ(results_hash(results), kGoldenBatchHash)
       << "segment_many combined label hash drifted";
 }
 
@@ -268,16 +224,8 @@ TEST(SegHdcSession, ServerMatchesSegmentManyOnTheGoldenBatch) {
   // combined label hash — and therefore the golden constant — on the
   // exact batch above. Pipelining changes completion order, never
   // content.
-  std::vector<img::ImageU8> images;
-  images.push_back(make_gray_card(32, 30, 200));
-  images.push_back(make_rgb_card(36, 28));
-  images.push_back(make_gray_card(24, 20, 235));
-
-  core::SegHdcConfig config;  // fixed seed on purpose (not env-driven)
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
+  const auto images = golden_batch();
+  const auto config = golden_config();
 
   util::ThreadPool pool(3);
   const core::SegHdcSession session(config,
@@ -295,8 +243,8 @@ TEST(SegHdcSession, ServerMatchesSegmentManyOnTheGoldenBatch) {
     futures.push_back(server.submit(image));
   }
 
-  std::uint64_t batch_hash = 14695981039346656037ULL;
-  std::uint64_t server_hash = 14695981039346656037ULL;
+  std::uint64_t batch_hash = kLabelHashBasis;
+  std::uint64_t server_hash = kLabelHashBasis;
   for (std::size_t i = 0; i < images.size(); ++i) {
     batch_hash = metrics::label_map_hash(batch[i].labels, batch_hash);
     server_hash =
@@ -304,7 +252,6 @@ TEST(SegHdcSession, ServerMatchesSegmentManyOnTheGoldenBatch) {
   }
   EXPECT_EQ(server_hash, batch_hash)
       << "SegHdcServer labels diverged from segment_many";
-  static constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
   EXPECT_EQ(server_hash, kGoldenBatchHash);
 }
 

@@ -2,13 +2,13 @@
 // subsystem (src/hdc/simd/): every registered backend must agree with
 // the scalar reference BIT FOR BIT on random and adversarial inputs
 // (non-multiple-of-64 dims, all-ones rows, zero-padding words, spans
-// long enough to exercise the 16-word Harley-Seal blocks and vector
-// tails), the word-blocked CountPlanes dot must equal the bit-serial
-// dot on every backend, and — the golden gate — the PR-2 batch label
-// hash must be identical under every backend forced via the dispatch
-// override. Plus registry/dispatch behaviour: selection, forcing,
-// unknown-name rejection, and the SegHdcConfig::kernel_backend
-// plumbing.
+// long enough to exercise the vector blocks and their tails), the
+// word-blocked CountPlanes dot must equal the bit-serial dot on every
+// backend, and — the golden gate — the golden batch label hash must be
+// identical under every backend forced via the dispatch override. Plus
+// registry/dispatch behaviour: selection, forcing, unknown-name
+// rejection (the retired "harley-seal" included), and the
+// SegHdcConfig::kernel_backend plumbing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,14 +23,15 @@
 #include "src/hdc/kernels.hpp"
 #include "src/hdc/simd/backend.hpp"
 #include "src/hdc/simd/cpu_features.hpp"
-#include "src/metrics/segmentation_metrics.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/rng.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
 using namespace seghdc::hdc;
+using namespace seghdc::golden;
 
 // Restores automatic selection when a test that forces backends exits,
 // so suite order never leaks a forced backend.
@@ -49,7 +50,7 @@ std::vector<const simd::KernelBackend*> available_backends() {
 }
 
 /// Word spans that hunt for backend-specific failure modes: sizes around
-/// the 4-word AVX2 / 2-word NEON / 16-word Harley-Seal block boundaries,
+/// the 4-word AVX2 / 2-word NEON block boundaries,
 /// all-ones and all-zero contents, a lone high bit, and (via the dims in
 /// the dimension-based tests) zero-padding tails.
 std::vector<std::vector<std::uint64_t>> adversarial_word_sets(
@@ -74,7 +75,7 @@ std::vector<std::vector<std::uint64_t>> adversarial_word_sets(
 }
 
 // Span lengths straddling every backend's block size (AVX2 processes 4
-// words/vector, NEON 2, Harley-Seal 16) plus a long streaming case.
+// words/vector, NEON 2) plus a long streaming case.
 const std::vector<std::size_t> kWordCounts{0, 1, 2, 3, 4, 5, 7, 8,
                                            15, 16, 17, 31, 33, 157, 1000};
 
@@ -130,10 +131,21 @@ TEST(SimdRegistry, EnvOverrideIsHonouredOnReset) {
   simd::reset_backend_selection();
   EXPECT_STREQ(simd::active_backend().name, "scalar");
 
-  // An unknown forced name is a hard error, never a silent fallback.
-  ::setenv("SEGHDC_KERNEL_BACKEND", "definitely-not-a-backend", 1);
-  simd::reset_backend_selection();
-  EXPECT_THROW(simd::active_backend(), std::invalid_argument);
+  // An unknown forced name is a hard error, never a silent fallback —
+  // the retired "harley-seal" backend included.
+  for (const char* value : {"definitely-not-a-backend", "harley-seal"}) {
+    ::setenv("SEGHDC_KERNEL_BACKEND", value, 1);
+    simd::reset_backend_selection();
+    try {
+      (void)simd::active_backend();
+      ADD_FAILURE() << "SEGHDC_KERNEL_BACKEND=" << value << " did not throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("SEGHDC_KERNEL_BACKEND names unknown kernel "
+                            "backend '") +
+                    value + "'");
+    }
+  }
 
   // "auto" and "" both mean automatic selection.
   ::setenv("SEGHDC_KERNEL_BACKEND", "auto", 1);
@@ -339,63 +351,15 @@ TEST(SimdBackends, CountPlanesHandlesZeroAndRebuild) {
   EXPECT_THROW(planes.build(negative), std::invalid_argument);
 }
 
-// --- The golden gate: the PR-2 batch label hash (pinned in
-// tests/test_session.cpp) must be bit-identical under EVERY registered
-// backend. Same images, same config, same hash constant. ---
-
-img::ImageU8 golden_gray_card(std::size_t size, std::uint8_t bg,
-                              std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 golden_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-// Must match tests/test_session.cpp SegmentManyGoldenLabelHash.
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
+// --- The golden gate: the golden batch label hash
+// (tests/golden_fixture.hpp) must be bit-identical under EVERY
+// registered backend. ---
 
 std::uint64_t golden_batch_hash() {
-  std::vector<img::ImageU8> images;
-  images.push_back(golden_gray_card(32, 30, 200));
-  images.push_back(golden_rgb_card(36, 28));
-  images.push_back(golden_gray_card(24, 20, 235));
-
-  core::SegHdcConfig config;
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
   util::ThreadPool pool(3);
-  const core::SegHdcSession session(config,
+  const core::SegHdcSession session(golden_config(),
                                     core::SegHdcSession::Options{&pool});
-  const auto results = session.segment_many(images);
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const auto& result : results) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  return hash;
+  return results_hash(session.segment_many(golden_batch()));
 }
 
 TEST(SimdBackends, GoldenLabelHashIdenticalUnderEveryBackend) {
@@ -424,10 +388,7 @@ TEST(SimdBackends, ConfigKernelBackendOverridePlumbs) {
 TEST(SimdBackends, StreamingSegmentManyMatchesCollectingOverload) {
   // The streaming sink delivers exactly the collecting overload's
   // results (same indices, same label maps), once each.
-  std::vector<img::ImageU8> images;
-  images.push_back(golden_gray_card(32, 30, 200));
-  images.push_back(golden_rgb_card(36, 28));
-  images.push_back(golden_gray_card(24, 20, 235));
+  const auto images = golden_batch();
 
   core::SegHdcConfig config;
   config.dim = 512;

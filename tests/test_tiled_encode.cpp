@@ -24,12 +24,13 @@
 #include "src/core/session.hpp"
 #include "src/hdc/simd/backend.hpp"
 #include "src/imaging/color.hpp"
-#include "src/metrics/segmentation_metrics.hpp"
 #include "src/util/parallel.hpp"
+#include "tests/golden_fixture.hpp"
 
 namespace {
 
 using namespace seghdc;
+using namespace seghdc::golden;
 
 // Restores automatic backend selection when a forcing test exits.
 struct BackendSelectionGuard {
@@ -450,42 +451,10 @@ TEST(TiledEncode, RowsMatchReferenceBind) {
   }
 }
 
-// --- Golden gate (mirrors tests/test_session.cpp and
-// tests/test_simd_backends.cpp): the PR-2 batch label hash must be
+// --- Golden gate (tests/golden_fixture.hpp, as in tests/test_session.cpp
+// and tests/test_simd_backends.cpp): the golden batch label hash must be
 // bit-identical at pool sizes 1/2/4 and tile_rows in {1, 3, 0 = the
 // default}, on every registered kernel backend. ---
-
-img::ImageU8 golden_gray_card(std::size_t size, std::uint8_t bg,
-                              std::uint8_t fg) {
-  img::ImageU8 image(size, size, 1, bg);
-  for (std::size_t y = size / 4; y < 3 * size / 4; ++y) {
-    for (std::size_t x = size / 4; x < 3 * size / 4; ++x) {
-      image(x, y) = fg;
-    }
-  }
-  for (std::size_t x = 0; x < size; ++x) {
-    image(x, 0) = static_cast<std::uint8_t>((x * 199) % 256);
-  }
-  return image;
-}
-
-img::ImageU8 golden_rgb_card(std::size_t width, std::size_t height) {
-  img::ImageU8 image(width, height, 3, 15);
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      if ((x / 6 + y / 6) % 2 == 0) {
-        image(x, y, 0) = 190;
-        image(x, y, 1) = static_cast<std::uint8_t>(140 + (x % 32));
-        image(x, y, 2) = 210;
-      } else {
-        image(x, y, 2) = static_cast<std::uint8_t>(20 + (y % 16));
-      }
-    }
-  }
-  return image;
-}
-
-constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
 
 /// The golden batch's chained label hash, through `segment_many` (whose
 /// workers run each image's loops serially) or, with `one_by_one`,
@@ -493,31 +462,20 @@ constexpr std::uint64_t kGoldenBatchHash = 13206585988845182882ULL;
 /// K-Means assign blocks and update chunks fan out across the pool.
 std::uint64_t golden_batch_hash(std::size_t threads, std::size_t tile_rows,
                                 bool one_by_one = false) {
-  std::vector<img::ImageU8> images;
-  images.push_back(golden_gray_card(32, 30, 200));
-  images.push_back(golden_rgb_card(36, 28));
-  images.push_back(golden_gray_card(24, 20, 235));
-
-  core::SegHdcConfig config;
-  config.dim = 512;
-  config.beta = 4;
-  config.iterations = 4;
-  config.seed = 42;
+  const auto images = golden_batch();
+  auto config = golden_config();
   config.tile_rows = tile_rows;
   util::ThreadPool pool(threads);
   const core::SegHdcSession session(config,
                                     core::SegHdcSession::Options{&pool});
-  std::uint64_t hash = 14695981039346656037ULL;
   if (one_by_one) {
+    std::vector<core::SegmentationResult> results;
     for (const auto& image : images) {
-      hash = metrics::label_map_hash(session.segment(image).labels, hash);
+      results.push_back(session.segment(image));
     }
-    return hash;
+    return results_hash(results);
   }
-  for (const auto& result : session.segment_many(images)) {
-    hash = metrics::label_map_hash(result.labels, hash);
-  }
-  return hash;
+  return results_hash(session.segment_many(images));
 }
 
 TEST(TiledEncode, GoldenBatchHashStableAcrossTilesPoolsAndBackends) {

@@ -1,11 +1,9 @@
 // Tests for the shared utility layer: CLI parsing, CSV writing,
-// contracts, stopwatch, logging.
+// contracts, stopwatch.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +11,6 @@
 #include "src/util/cli.hpp"
 #include "src/util/contracts.hpp"
 #include "src/util/csv.hpp"
-#include "src/util/logging.hpp"
 #include "src/util/stopwatch.hpp"
 
 namespace {
@@ -207,14 +204,6 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_LT(watch.seconds(), 10.0);
 }
 
-TEST(Logging, LevelFiltering) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log(LogLevel::kDebug, "should not crash (filtered)");
-  set_log_level(before);
-}
-
 TEST(Stopwatch, ConcurrentReadsAreConsistent) {
   // seconds() is a pure read of a steady clock: many threads hammering
   // one stopwatch must each see monotone non-decreasing, non-negative
@@ -234,45 +223,6 @@ TEST(Stopwatch, ConcurrentReadsAreConsistent) {
   for (auto& thread : threads) {
     thread.join();
   }
-}
-
-TEST(Logging, ConcurrentLogCallsNeverTearLines) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kInfo);
-  constexpr int kThreads = 8;
-  constexpr int kLines = 250;
-  // Distinct single-character filler per thread: a torn write would
-  // splice two fillers (or a header) into one captured line.
-  std::vector<std::string> expected;
-  for (int t = 0; t < kThreads; ++t) {
-    expected.push_back("[info] writer-" + std::to_string(t) + "-" +
-                       std::string(60, static_cast<char>('a' + t)));
-  }
-  testing::internal::CaptureStderr();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &expected] {
-      const std::string payload = expected[t].substr(7);  // strip "[info] "
-      for (int i = 0; i < kLines; ++i) {
-        log(LogLevel::kInfo, payload);
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  const std::string captured = testing::internal::GetCapturedStderr();
-  set_log_level(before);
-  std::istringstream stream(captured);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(stream, line)) {
-    ++lines;
-    ASSERT_NE(std::find(expected.begin(), expected.end(), line),
-              expected.end())
-        << "torn or corrupted log line: '" << line << "'";
-  }
-  EXPECT_EQ(lines, static_cast<std::size_t>(kThreads) * kLines);
 }
 
 }  // namespace
